@@ -16,6 +16,8 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass
+from functools import lru_cache, partial
+from itertools import combinations
 
 from .exactmat import (
     MatrixExpr,
@@ -28,7 +30,7 @@ from .exactmat import (
     remove_rc,
     submatrix,
 )
-from .polyring import Polynomial, PolyStats, VariableUniverse, exact_div
+from .polyring import Polynomial, PolyStats, VariableUniverse, accumulate_product, exact_div
 from .rng import rand_int_matrix, trial_rng
 
 CONSTRAINT_FLAGS = frozenset(
@@ -208,67 +210,113 @@ def _single_generic(n: int, letter: str = "a"):
     return MatrixExpr.from_rows(rows, universe), universe
 
 
-def compound_minors(a: MatrixExpr, k: int, det=det_laplace, cache: dict | None = None) -> CompoundMatrix:
+def _bordered_minors(a: MatrixExpr, k: int) -> list:
+    """det(a[I+, J+]) for every pair of k-subsets (I, J) of {1..n}, row-major.
+
+    Column expansion memoized on (row set, column set), in det_laplace's
+    order: level 0 takes the border column alone, and level t takes the
+    t-element suffix of some J plus the border column, i.e. every t-subset
+    of columns 0..n-1 whose minimum is at least k - t.  Each level expands
+    along its first column, over every (t+1)-subset of rows 0..n, except the
+    last level (t = k), which needs only the row sets I+.  A sub-minor that
+    several (I, J) share is thus expanded once, and every minor comes out
+    term for term as det_laplace(submatrix(a, I+, J+)) would give it.
+    Callers have checked that `a` is (n+1) x (n+1) and 0 <= k <= n.
+    """
+    size = a.rows
+    n = size - 1
+    ent = a.entries
+    if a.universe is None:
+        expand, one = _expand_int, 1
+    else:
+        expand, one = partial(_expand_poly, a.universe), Polynomial.one(a.universe)
+    level = {(): [one]}  # column suffix -> minors, indexed like that level's row sets
+    for t, plan in enumerate(_expansion_plan(size, k)):
+        level = {
+            cols: expand(ent[cols[0] if cols else n :: size], level[cols[1:]], plan)
+            for cols in combinations(range(k - t, n), t)
+        }
+    return [minor for row in zip(*level.values()) for minor in row]
+
+
+@lru_cache(maxsize=64)
+def _expansion_plan(size: int, k: int) -> tuple:
+    """Index tables of _bordered_minors; they depend only on the size and k.
+
+    Level t has one entry per row set, in combinations order: for each row
+    of the set, in order, (row, index of the row set without it in level
+    t - 1).  The expansion signs alternate along that order.
+    """
+    border = size - 1
+    rank = {(): 0}
+    plans = []
+    for t in range(k + 1):
+        if t < k:
+            row_sets = list(combinations(range(size), t + 1))
+        else:
+            row_sets = [rows + (border,) for rows in combinations(range(border), k)]
+        plans.append(
+            tuple(
+                tuple((r, rank[rows[:p] + rows[p + 1 :]]) for p, r in enumerate(rows))
+                for rows in row_sets
+            )
+        )
+        rank = {rows: i for i, rows in enumerate(row_sets)}
+    return tuple(plans)
+
+
+def _expand_int(column: list, sub: list, plan: tuple) -> list:
+    """One Laplace step on raw ints: column[r] times the minors in sub."""
+    out = []
+    for terms in plan:
+        acc = 0
+        negate = False
+        for r, j in terms:
+            e = column[r]
+            if e:
+                if negate:
+                    acc -= e * sub[j]
+                else:
+                    acc += e * sub[j]
+            negate = not negate
+        out.append(acc)
+    return out
+
+
+def _expand_poly(universe: VariableUniverse, column: list, sub: list, plan: tuple) -> list:
+    """The same step over polynomials, accumulating raw term maps."""
+    out = []
+    for terms in plan:
+        acc: dict[int, int] = {}
+        negate = False
+        for r, j in terms:
+            accumulate_product(acc, column[r], sub[j], negate)
+            negate = not negate
+        out.append(Polynomial._from_clean(universe, {m: c for m, c in acc.items() if c}))
+    return out
+
+
+def compound_minors(a: MatrixExpr, k: int) -> CompoundMatrix:
     """Square matrix of bordered minors det(sub_{I+}^{J+} a) over the k-subset family.
 
     `a` is (n+1) x (n+1); rows and columns are indexed by the k-subsets of
-    {1..n} in lexicographic order.  Minors are cached per (I, J); pass the
-    same dict across calls to share work for one source matrix.
+    {1..n} in lexicographic order.
     """
     if not a.is_square or a.rows < 1:
         raise ValueError("compound_minors needs a square matrix of size at least 1")
-    n = a.rows - 1
-    family = k_subsets(n, k)
-    if cache is None:
-        cache = {}
-    ent = []
-    for row_set in family:
-        ip = row_set.plus()
-        for col_set in family:
-            key = (row_set.elements, col_set.elements)
-            minor = cache.get(key)
-            if minor is None:
-                minor = det(submatrix(a, ip, col_set.plus()))
-                cache[key] = minor
-            ent.append(minor)
-    m = MatrixExpr(family.size, family.size, ent, a.universe)
+    family = k_subsets(a.rows - 1, k)
+    m = MatrixExpr(family.size, family.size, _bordered_minors(a, k), a.universe)
     return CompoundMatrix(family, m)
 
 
-def compound_minor_products(
-    a: MatrixExpr,
-    b: MatrixExpr,
-    k: int,
-    det=det_laplace,
-    cache_a: dict | None = None,
-    cache_b: dict | None = None,
-) -> CompoundMatrix:
+def compound_minor_products(a: MatrixExpr, b: MatrixExpr, k: int) -> CompoundMatrix:
     """Entrywise products of the A-minor and B-minor over the k-subset family."""
     if a.rows != b.rows or a.cols != b.cols:
         raise ValueError("the two matrices must have equal shape")
     if not a.is_square or a.rows < 1:
         raise ValueError("compound_minor_products needs square matrices of size at least 1")
-    n = a.rows - 1
-    family = k_subsets(n, k)
-    if cache_a is None:
-        cache_a = {}
-    if cache_b is None:
-        cache_b = {}
-    ent = []
-    for row_set in family:
-        ip = row_set.plus()
-        for col_set in family:
-            key = (row_set.elements, col_set.elements)
-            jp = col_set.plus()
-            ma = cache_a.get(key)
-            if ma is None:
-                ma = det(submatrix(a, ip, jp))
-                cache_a[key] = ma
-            mb = cache_b.get(key)
-            if mb is None:
-                mb = det(submatrix(b, ip, jp))
-                cache_b[key] = mb
-            ent.append(ma * mb)
+    family = k_subsets(a.rows - 1, k)
+    ent = [x * y for x, y in zip(_bordered_minors(a, k), _bordered_minors(b, k))]
     m = MatrixExpr(family.size, family.size, ent, a.universe)
     return CompoundMatrix(family, m)
 

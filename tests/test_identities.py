@@ -28,6 +28,7 @@ from minordet.identities import (
     compound_minors,
     quotient,
 )
+from minordet.oracle import FuzzPlan, random_instance
 from minordet.polyring import Polynomial, exact_div
 
 
@@ -98,6 +99,8 @@ def test_compound_minors_extreme_k():
     cn = compound_minors(a, 2)
     assert cn.matrix.rows == 1
     assert cn.matrix.entry(1, 1) == det_laplace(a)
+    with pytest.raises(ValueError):
+        compound_minors(MatrixExpr(0, 0, []), 0)
 
 
 def test_compound_minors_k1_formula():
@@ -108,18 +111,6 @@ def test_compound_minors_k1_formula():
         for j in (1, 2):
             want = a.entry(i, j) * a.entry(3, 3) - a.entry(i, 3) * a.entry(3, j)
             assert c.entry((i,), (j,)) == want
-
-
-def test_compound_minors_cache_reuse():
-    a, _, _ = build_generic(GenericSpec(2))
-    cache = {}
-    first = compound_minors(a, 1, cache=cache)
-    assert len(cache) == 4
-    second = compound_minors(a, 1, cache=cache)
-    for e1, e2 in zip(first.matrix.entries, second.matrix.entries):
-        assert e1 is e2  # served from the shared cache, not recomputed
-    with pytest.raises(ValueError):
-        compound_minors(MatrixExpr(0, 0, []), 0)
 
 
 def test_minor_products_are_entrywise():
@@ -159,7 +150,7 @@ def test_sylvester_numeric_spot_check():
     for _ in range(20):
         n, k = 3, 2
         mat = MatrixExpr(n + 1, n + 1, [rng.randint(-9, 9) for _ in range((n + 1) ** 2)])
-        comp = compound_minors(mat, k, det=det_bareiss)
+        comp = compound_minors(mat, k)
         e = SylvesterExponents.from_params(n, k)
         lhs = det_bareiss(comp.matrix)
         rhs = mat.entry(n + 1, n + 1) ** e.p * det_bareiss(mat) ** e.q
@@ -289,9 +280,30 @@ def test_report_json_shapes():
     assert "unconstrained_detw_monomials" in qc
 
 
+def _assert_minors_match_submatrices(a, b, det):
+    n = a.rows - 1
+    for k in range(n + 1):
+        ca = compound_minors(a, k)
+        cb = compound_minors(b, k)
+        w = compound_minor_products(a, b, k)
+        for row_set in ca.family:
+            for col_set in ca.family:
+                want_a = det(submatrix(a, row_set.plus(), col_set.plus()))
+                want_b = det(submatrix(b, row_set.plus(), col_set.plus()))
+                assert ca.entry(row_set, col_set) == want_a, (n, k, row_set, col_set)
+                assert cb.entry(row_set, col_set) == want_b, (n, k, row_set, col_set)
+                assert w.entry(row_set, col_set) == want_a * want_b, (n, k, row_set, col_set)
+
+
 def test_bordered_minor_matches_direct_submatrix():
-    a, _, _ = build_generic(GenericSpec(3))
-    c = compound_minors(a, 2)
-    got = c.entry((1, 3), (2, 3))
-    want = det_laplace(submatrix(a, (1, 3, 4), (2, 3, 4)))
-    assert got == want
+    # every entry of both builders against a determinant of the submatrix
+    for theorem in ("b0", "ab0", "adb0"):
+        for n in range(7):
+            for bound in (50, 1):  # bound 1 makes many entries and minors zero
+                a, b = random_instance(FuzzPlan(theorem, n, 0, 1, 17 + n, bound), 0)
+                _assert_minors_match_submatrices(a, b, det_bareiss)
+    patterns = [frozenset()] + [frozenset({flag}) for flag in sorted(CONSTRAINT_FLAGS)]
+    for n in range(4):
+        for constraints in patterns:
+            a, b, _ = build_generic(GenericSpec(n, constraints))
+            _assert_minors_match_submatrices(a, b, det_laplace)

@@ -24,6 +24,8 @@ def test_plan_validation():
     with pytest.raises(ValueError):
         FuzzPlan("nope", 3, 2, trials=10, seed=0, bound=5)
     with pytest.raises(ValueError):
+        FuzzPlan("cb", 3, 2, trials=10, seed=0, bound=5)
+    with pytest.raises(ValueError):
         FuzzPlan("b0", -1, 0, trials=10, seed=0, bound=5)
     with pytest.raises(ValueError):
         FuzzPlan("b0", MAX_N_DIVISIBILITY + 1, 2, trials=10, seed=0, bound=5)
@@ -104,7 +106,7 @@ def test_zero_corner_kills_compound_det_below_top_k():
     a, _ = random_instance(plan, 0)
     a.entries[-1] = 0
     for k in (0, 1, 2):
-        comp = compound_minors(a, k, det=det_bareiss)
+        comp = compound_minors(a, k)
         assert det_bareiss(comp.matrix) == 0
 
 
