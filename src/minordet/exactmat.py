@@ -8,7 +8,9 @@ conventions used throughout; internals are 0-based.
 
 Three determinant routines cross-check one another:
 
-  * det_laplace   memoized column expansion, works for both entry kinds,
+  * det_laplace   memoized column expansion, works for both entry kinds;
+                  it is the k = n case of bordered_minors, the engine that
+                  builds every bordered minor of a compound,
   * det_bareiss   fraction-free elimination, integer matrices only,
   * brute_force_det  signed permutation sum, capped at size 8, oracle role.
 """
@@ -16,8 +18,9 @@ Three determinant routines cross-check one another:
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache, partial
 from itertools import combinations, permutations
-from typing import Iterable, Mapping, Sequence, Union
+from typing import Mapping, Sequence, Union
 
 from .polyring import Polynomial, VariableUniverse, accumulate_product
 
@@ -46,13 +49,6 @@ class IndexSet:
     def plus(self) -> "IndexSet":
         """Adjoin the new top element: K over [n] becomes K+ over [n+1]."""
         return IndexSet(self.elements + (self.ground + 1,), self.ground + 1)
-
-    def complement(self) -> "IndexSet":
-        inside = set(self.elements)
-        return IndexSet(
-            tuple(i for i in range(1, self.ground + 1) if i not in inside),
-            self.ground,
-        )
 
     def __iter__(self):
         return iter(self.elements)
@@ -178,10 +174,6 @@ class MatrixExpr:
     def is_square(self) -> bool:
         return self.rows == self.cols
 
-    def transpose(self) -> "MatrixExpr":
-        ent = [self.entries[r * self.cols + c] for c in range(self.cols) for r in range(self.rows)]
-        return MatrixExpr(self.cols, self.rows, ent, self.universe)
-
     def __eq__(self, other):
         if not isinstance(other, MatrixExpr):
             return NotImplemented
@@ -222,15 +214,6 @@ def submatrix(a: MatrixExpr, row_sel, col_sel) -> MatrixExpr:
     return MatrixExpr(len(ri), len(ci), ent, a.universe)
 
 
-def remove_rc(a: MatrixExpr, row: int, col: int) -> MatrixExpr:
-    """Delete one row and one column (1-based)."""
-    if not (1 <= row <= a.rows and 1 <= col <= a.cols):
-        raise ValueError("row or column to remove is out of range")
-    rows = [i for i in range(1, a.rows + 1) if i != row]
-    cols = [j for j in range(1, a.cols + 1) if j != col]
-    return submatrix(a, rows, cols)
-
-
 def matmul(a: MatrixExpr, b: MatrixExpr) -> MatrixExpr:
     if a.cols != b.rows:
         raise ValueError(f"cannot multiply {a.rows}x{a.cols} by {b.rows}x{b.cols}")
@@ -263,68 +246,97 @@ def _require_square(a: MatrixExpr):
 
 
 def det_laplace(a: MatrixExpr) -> RingEntry:
-    """Determinant by column expansion, memoized on the set of live rows.
-
-    Level s holds the minors over all s-subsets of rows and the last s
-    columns, so each of the 2^n row subsets is expanded exactly once; levels
-    below the current one are freed as the expansion climbs.
-    """
+    """Determinant by column expansion: the k = n case of bordered_minors."""
     _require_square(a)
-    n = a.rows
+    if not a.rows:
+        return 1 if a.universe is None else Polynomial.one(a.universe)
+    return bordered_minors(a, a.rows - 1)[0]
+
+
+def bordered_minors(a: MatrixExpr, k: int) -> list:
+    """det(a[I+, J+]) for every pair of k-subsets (I, J) of {1..n}, row-major.
+
+    Column expansion memoized on (row set, column set): level 0 takes the
+    border column alone, and level t takes the t-element suffix of some J
+    plus the border column, i.e. every t-subset of columns 0..n-1 whose
+    minimum is at least k - t.  Each level expands along its first column,
+    over every (t+1)-subset of rows 0..n, except the last level (t = k),
+    which needs only the row sets I+.  A sub-minor that several (I, J) share
+    is thus expanded once, and levels below the current one are freed as the
+    expansion climbs.  With k = n the single minor is det(a).  Callers have
+    checked that `a` is (n+1) x (n+1) and 0 <= k <= n.
+    """
+    size = a.rows
+    n = size - 1
+    ent = a.entries
     if a.universe is None:
-        return _det_laplace_int(a) if n else 1
-    return _det_laplace_poly(a) if n else Polynomial.one(a.universe)
+        expand, one = _expand_int, 1
+    else:
+        expand, one = partial(_expand_poly, a.universe), Polynomial.one(a.universe)
+    level = {(): [one]}  # column suffix -> minors, indexed like that level's row sets
+    for t, plan in enumerate(_expansion_plan(size, k)):
+        level = {
+            cols: expand(ent[cols[0] if cols else n :: size], level[cols[1:]], plan)
+            for cols in combinations(range(k - t, n), t)
+        }
+    return [minor for row in zip(*level.values()) for minor in row]
 
 
-def _det_laplace_int(a: MatrixExpr) -> int:
-    n = a.rows
-    ent = a.entries
-    prev = {0: 1}
-    for s in range(1, n + 1):
-        col = n - s
-        cur: dict[int, int] = {}
-        for combo in combinations(range(n), s):
-            mask = 0
-            for r in combo:
-                mask |= 1 << r
-            acc = 0
-            sign = 1
-            for r in combo:
-                e = ent[r * n + col]
-                if e:
-                    sub = prev[mask ^ (1 << r)]
-                    if sub:
-                        acc += sign * e * sub
-                sign = -sign
-            cur[mask] = acc
-        prev = cur
-    return prev[(1 << n) - 1]
+@lru_cache(maxsize=64)
+def _expansion_plan(size: int, k: int) -> tuple:
+    """Index tables of bordered_minors; they depend only on the size and k.
+
+    Level t has one entry per row set, in combinations order: for each row
+    of the set, in order, (row, index of the row set without it in level
+    t - 1).  The expansion signs alternate along that order.
+    """
+    border = size - 1
+    rank = {(): 0}
+    plans = []
+    for t in range(k + 1):
+        if t < k:
+            row_sets = list(combinations(range(size), t + 1))
+        else:
+            row_sets = [rows + (border,) for rows in combinations(range(border), k)]
+        plans.append(
+            tuple(
+                tuple((r, rank[rows[:p] + rows[p + 1 :]]) for p, r in enumerate(rows))
+                for rows in row_sets
+            )
+        )
+        rank = {rows: i for i, rows in enumerate(row_sets)}
+    return tuple(plans)
 
 
-def _det_laplace_poly(a: MatrixExpr) -> Polynomial:
-    n = a.rows
-    u = a.universe
-    ent = a.entries
-    prev = {0: Polynomial.one(u)}
-    for s in range(1, n + 1):
-        col = n - s
-        cur: dict[int, Polynomial] = {}
-        for combo in combinations(range(n), s):
-            mask = 0
-            for r in combo:
-                mask |= 1 << r
-            acc: dict[int, int] = {}
-            negate = False
-            for r in combo:
-                e = ent[r * n + col]
-                if e.terms:
-                    sub = prev[mask ^ (1 << r)]
-                    if sub.terms:
-                        accumulate_product(acc, e, sub, negate)
-                negate = not negate
-            cur[mask] = Polynomial._from_clean(u, {m: c for m, c in acc.items() if c})
-        prev = cur
-    return prev[(1 << n) - 1]
+def _expand_int(column: list, sub: list, plan: tuple) -> list:
+    """One Laplace step on raw ints: column[r] times the minors in sub."""
+    out = []
+    for terms in plan:
+        acc = 0
+        negate = False
+        for r, j in terms:
+            e = column[r]
+            if e:
+                if negate:
+                    acc -= e * sub[j]
+                else:
+                    acc += e * sub[j]
+            negate = not negate
+        out.append(acc)
+    return out
+
+
+def _expand_poly(universe: VariableUniverse, column: list, sub: list, plan: tuple) -> list:
+    """The same step over polynomials, accumulating raw term maps."""
+    out = []
+    for terms in plan:
+        acc: dict[int, int] = {}
+        negate = False
+        for r, j in terms:
+            accumulate_product(acc, column[r], sub[j], negate)
+            negate = not negate
+        out.append(Polynomial._from_clean(universe, {m: c for m, c in acc.items() if c}))
+    return out
 
 
 def det_bareiss(a: MatrixExpr) -> int:
@@ -392,74 +404,9 @@ def brute_force_det(a: MatrixExpr) -> RingEntry:
     return total
 
 
-def adjugate(a: MatrixExpr) -> MatrixExpr:
-    """Transposed cofactor matrix; satisfies a @ adjugate(a) = det(a) * identity."""
-    _require_square(a)
-    n = a.rows
-    if n == 0:
-        return MatrixExpr(0, 0, [], a.universe)
-    if n == 1:
-        one = 1 if a.universe is None else Polynomial.one(a.universe)
-        return MatrixExpr(1, 1, [one], a.universe)
-    ent: list[RingEntry] = []
-    for i in range(1, n + 1):  # adj[i][j] = (-1)^(i+j) det(A with row j, col i removed)
-        for j in range(1, n + 1):
-            minor = det_laplace(remove_rc(a, j, i))
-            ent.append(minor if (i + j) % 2 == 0 else -minor)
-    return MatrixExpr(n, n, ent, a.universe)
-
-
 def evaluate_matrix(a: MatrixExpr, assignment: Mapping[str, int]) -> MatrixExpr:
     """Specialize a polynomial matrix to an integer matrix."""
     if a.universe is None:
         raise TypeError("matrix is already an integer matrix")
     ent = [e.evaluate(assignment) for e in a.entries]
     return MatrixExpr(a.rows, a.cols, ent)
-
-
-# -- text format -----------------------------------------------------------
-
-
-def matrix_to_text(a: MatrixExpr) -> str:
-    """First line "rows cols kind"; one row per line, entries space-separated.
-
-    Polynomial entries use the compact (glued-term) canonical form so they
-    contain no spaces themselves.
-    """
-    kind = "int" if a.universe is None else "poly"
-    lines = [f"{a.rows} {a.cols} {kind}"]
-    for row in a.row_list():
-        if a.universe is None:
-            lines.append(" ".join(str(e) for e in row))
-        else:
-            lines.append(" ".join(e.serialize(compact=True) for e in row))
-    return "\n".join(lines) + "\n"
-
-
-def matrix_from_text(text: str, universe: VariableUniverse | None = None) -> MatrixExpr:
-    lines = text.splitlines()
-    if not lines:
-        raise ValueError("empty matrix text")
-    header = lines[0].split(" ")
-    if len(header) != 3 or header[2] not in ("int", "poly"):
-        raise ValueError(f"bad matrix header: {lines[0]!r}")
-    rows, cols, kind = int(header[0]), int(header[1]), header[2]
-    if kind == "poly" and universe is None:
-        raise ValueError("polynomial matrix text needs a universe to parse into")
-    body = lines[1:]
-    if len(body) != rows:
-        raise ValueError(f"expected {rows} rows, found {len(body)}")
-    entries: list[RingEntry] = []
-    for line in body:
-        toks = line.split(" ") if line else []
-        if cols == 0:
-            if line:
-                raise ValueError("nonempty row in zero-column matrix")
-            continue
-        if len(toks) != cols:
-            raise ValueError(f"expected {cols} entries in row, found {len(toks)}")
-        if kind == "int":
-            entries.extend(int(t) for t in toks)
-        else:
-            entries.extend(Polynomial.parse(universe, t) for t in toks)
-    return MatrixExpr(rows, cols, entries, universe if kind == "poly" else None)

@@ -16,21 +16,19 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass
-from functools import lru_cache, partial
-from itertools import combinations
 
 from .exactmat import (
     MatrixExpr,
     SubsetFamily,
+    bordered_minors,
     det_bareiss,
     det_laplace,
     evaluate_matrix,
     k_subsets,
     matmul,
-    remove_rc,
     submatrix,
 )
-from .polyring import Polynomial, PolyStats, VariableUniverse, accumulate_product, exact_div
+from .polyring import Polynomial, PolyStats, VariableUniverse, exact_div
 from .rng import rand_int_matrix, trial_rng
 
 CONSTRAINT_FLAGS = frozenset(
@@ -210,92 +208,6 @@ def _single_generic(n: int, letter: str = "a"):
     return MatrixExpr.from_rows(rows, universe), universe
 
 
-def _bordered_minors(a: MatrixExpr, k: int) -> list:
-    """det(a[I+, J+]) for every pair of k-subsets (I, J) of {1..n}, row-major.
-
-    Column expansion memoized on (row set, column set), in det_laplace's
-    order: level 0 takes the border column alone, and level t takes the
-    t-element suffix of some J plus the border column, i.e. every t-subset
-    of columns 0..n-1 whose minimum is at least k - t.  Each level expands
-    along its first column, over every (t+1)-subset of rows 0..n, except the
-    last level (t = k), which needs only the row sets I+.  A sub-minor that
-    several (I, J) share is thus expanded once, and every minor comes out
-    term for term as det_laplace(submatrix(a, I+, J+)) would give it.
-    Callers have checked that `a` is (n+1) x (n+1) and 0 <= k <= n.
-    """
-    size = a.rows
-    n = size - 1
-    ent = a.entries
-    if a.universe is None:
-        expand, one = _expand_int, 1
-    else:
-        expand, one = partial(_expand_poly, a.universe), Polynomial.one(a.universe)
-    level = {(): [one]}  # column suffix -> minors, indexed like that level's row sets
-    for t, plan in enumerate(_expansion_plan(size, k)):
-        level = {
-            cols: expand(ent[cols[0] if cols else n :: size], level[cols[1:]], plan)
-            for cols in combinations(range(k - t, n), t)
-        }
-    return [minor for row in zip(*level.values()) for minor in row]
-
-
-@lru_cache(maxsize=64)
-def _expansion_plan(size: int, k: int) -> tuple:
-    """Index tables of _bordered_minors; they depend only on the size and k.
-
-    Level t has one entry per row set, in combinations order: for each row
-    of the set, in order, (row, index of the row set without it in level
-    t - 1).  The expansion signs alternate along that order.
-    """
-    border = size - 1
-    rank = {(): 0}
-    plans = []
-    for t in range(k + 1):
-        if t < k:
-            row_sets = list(combinations(range(size), t + 1))
-        else:
-            row_sets = [rows + (border,) for rows in combinations(range(border), k)]
-        plans.append(
-            tuple(
-                tuple((r, rank[rows[:p] + rows[p + 1 :]]) for p, r in enumerate(rows))
-                for rows in row_sets
-            )
-        )
-        rank = {rows: i for i, rows in enumerate(row_sets)}
-    return tuple(plans)
-
-
-def _expand_int(column: list, sub: list, plan: tuple) -> list:
-    """One Laplace step on raw ints: column[r] times the minors in sub."""
-    out = []
-    for terms in plan:
-        acc = 0
-        negate = False
-        for r, j in terms:
-            e = column[r]
-            if e:
-                if negate:
-                    acc -= e * sub[j]
-                else:
-                    acc += e * sub[j]
-            negate = not negate
-        out.append(acc)
-    return out
-
-
-def _expand_poly(universe: VariableUniverse, column: list, sub: list, plan: tuple) -> list:
-    """The same step over polynomials, accumulating raw term maps."""
-    out = []
-    for terms in plan:
-        acc: dict[int, int] = {}
-        negate = False
-        for r, j in terms:
-            accumulate_product(acc, column[r], sub[j], negate)
-            negate = not negate
-        out.append(Polynomial._from_clean(universe, {m: c for m, c in acc.items() if c}))
-    return out
-
-
 def compound_minors(a: MatrixExpr, k: int) -> CompoundMatrix:
     """Square matrix of bordered minors det(sub_{I+}^{J+} a) over the k-subset family.
 
@@ -305,7 +217,7 @@ def compound_minors(a: MatrixExpr, k: int) -> CompoundMatrix:
     if not a.is_square or a.rows < 1:
         raise ValueError("compound_minors needs a square matrix of size at least 1")
     family = k_subsets(a.rows - 1, k)
-    m = MatrixExpr(family.size, family.size, _bordered_minors(a, k), a.universe)
+    m = MatrixExpr(family.size, family.size, bordered_minors(a, k), a.universe)
     return CompoundMatrix(family, m)
 
 
@@ -316,7 +228,7 @@ def compound_minor_products(a: MatrixExpr, b: MatrixExpr, k: int) -> CompoundMat
     if not a.is_square or a.rows < 1:
         raise ValueError("compound_minor_products needs square matrices of size at least 1")
     family = k_subsets(a.rows - 1, k)
-    ent = [x * y for x, y in zip(_bordered_minors(a, k), _bordered_minors(b, k))]
+    ent = [x * y for x, y in zip(bordered_minors(a, k), bordered_minors(b, k))]
     m = MatrixExpr(family.size, family.size, ent, a.universe)
     return CompoundMatrix(family, m)
 
@@ -546,7 +458,7 @@ def check_lemma_adb0(n: int, k: int) -> VerificationReport:
     corner = a.entry(n + 1, n + 1)
     det_a = det_laplace(a)
     failures = []
-    if det_a != corner * det_laplace(remove_rc(a, n + 1, n + 1)):
+    if det_a != corner * det_laplace(submatrix(a, range(1, n + 1), range(1, n + 1))):
         failures.append("corner-block factorization")
     family = k_subsets(n, k)
     for row_set in family:

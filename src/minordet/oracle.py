@@ -110,28 +110,30 @@ def _divisor(plan: FuzzPlan, a: MatrixExpr, b: MatrixExpr) -> int:
     return det_bareiss(a)
 
 
-def _run_divisibility(plan: FuzzPlan, apply_constraints: bool) -> FuzzReport:
+def _tally(plan: FuzzPlan, failure_at) -> FuzzReport:
+    """Run every trial of the plan; failure_at(t) is None on a pass, else the failure."""
     passes = 0
-    failures = 0
     first = None
     for t in range(plan.trials):
+        failure = failure_at(t)
+        if failure is None:
+            passes += 1
+        elif first is None:
+            first = failure
+    return FuzzReport(plan=plan, passes=passes, failures=plan.trials - passes, first_failure=first)
+
+
+def _run_divisibility(plan: FuzzPlan, apply_constraints: bool) -> FuzzReport:
+    def failure_at(t: int) -> dict | None:
         a, b = random_instance(plan, t, apply_constraints)
         w = det_bareiss(compound_minor_products(a, b, plan.k).matrix)
         d = _divisor(plan, a, b)
         ok = (w == 0) if d == 0 else (w % d == 0)
         if ok:
-            passes += 1
-        else:
-            failures += 1
-            if first is None:
-                first = {
-                    "trial": t,
-                    "a": a.row_list(),
-                    "b": b.row_list(),
-                    "det_w": w,
-                    "divisor": d,
-                }
-    return FuzzReport(plan=plan, passes=passes, failures=failures, first_failure=first)
+            return None
+        return {"trial": t, "a": a.row_list(), "b": b.row_list(), "det_w": w, "divisor": d}
+
+    return _tally(plan, failure_at)
 
 
 def fuzz_divisibility(plan: FuzzPlan) -> FuzzReport:
@@ -168,18 +170,14 @@ def fuzz_sylvester(plan: FuzzPlan) -> FuzzReport:
     if plan.n < 1:
         raise ValueError("fuzz_sylvester needs n >= 1")
     exps = SylvesterExponents.from_params(plan.n, plan.k)
-    passes = 0
-    failures = 0
-    first = None
-    for t in range(plan.trials):
+
+    def failure_at(t: int) -> dict | None:
         a, _ = random_instance(plan, t)
         lhs = det_bareiss(compound_minors(a, plan.k).matrix)
         corner = a.entry(plan.n + 1, plan.n + 1)
         rhs = corner**exps.p * det_bareiss(a) ** exps.q
         if lhs == rhs:
-            passes += 1
-        else:
-            failures += 1
-            if first is None:
-                first = {"trial": t, "a": a.row_list(), "lhs": lhs, "rhs": rhs}
-    return FuzzReport(plan=plan, passes=passes, failures=failures, first_failure=first)
+            return None
+        return {"trial": t, "a": a.row_list(), "lhs": lhs, "rhs": rhs}
+
+    return _tally(plan, failure_at)

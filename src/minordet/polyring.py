@@ -302,13 +302,8 @@ class Polynomial:
 
     # -- canonical text ----------------------------------------------------
 
-    def serialize(self, compact: bool = False) -> str:
-        """Canonical text form, terms in descending lex order.
-
-        The default places one space between terms; compact=True glues terms
-        together (each term starts with its sign, so the form stays
-        unambiguous inside space-separated matrix rows).
-        """
+    def serialize(self) -> str:
+        """Canonical text form, terms in descending lex order, one space apart."""
         if not self.terms:
             return "0"
         u = self.universe
@@ -323,7 +318,7 @@ class Polynomial:
                 elif e:
                     bits.append(f"{name}^{e}")
             parts.append("*".join(bits))
-        return ("" if compact else " ").join(parts)
+        return " ".join(parts)
 
     @classmethod
     def parse(cls, universe: VariableUniverse, text: str) -> "Polynomial":

@@ -17,16 +17,12 @@ from minordet.exactmat import (
     BRUTE_FORCE_CAP,
     IndexSet,
     MatrixExpr,
-    adjugate,
     brute_force_det,
     det_bareiss,
     det_laplace,
     evaluate_matrix,
     k_subsets,
     matmul,
-    matrix_from_text,
-    matrix_to_text,
-    remove_rc,
     submatrix,
 )
 from minordet.polyring import Polynomial, VariableUniverse
@@ -34,6 +30,11 @@ from minordet.polyring import Polynomial, VariableUniverse
 
 def _rand_int_matrix(rng, n, m, bound=9):
     return MatrixExpr(n, m, [rng.randint(-bound, bound) for _ in range(n * m)])
+
+
+def _transpose(a):
+    ent = [a.entries[r * a.cols + c] for c in range(a.cols) for r in range(a.rows)]
+    return MatrixExpr(a.cols, a.rows, ent, a.universe)
 
 
 def _generic(n, letter="m"):
@@ -63,8 +64,6 @@ def test_index_set_plus_and_complement():
     s = IndexSet((1, 3), 4)
     sp = s.plus()
     assert sp.elements == (1, 3, 5) and sp.ground == 5
-    assert s.complement().elements == (2, 4)
-    assert IndexSet((), 3).complement().elements == (1, 2, 3)
     assert IndexSet((), 0).plus().elements == (1,)
 
 
@@ -123,7 +122,7 @@ def test_entry_kind_promotion_rules():
 
 def test_transpose_and_submatrix():
     a = MatrixExpr.from_rows([[1, 2, 3], [4, 5, 6]])
-    t = a.transpose()
+    t = _transpose(a)
     assert t.rows == 3 and t.cols == 2
     assert t.row_list() == [[1, 4], [2, 5], [3, 6]]
     s = submatrix(a, (1, 2), (1, 3))
@@ -136,22 +135,6 @@ def test_transpose_and_submatrix():
         submatrix(a, (1,), (4,))
     empty = submatrix(a, (), ())
     assert empty.rows == 0 and empty.cols == 0
-
-
-def test_remove_rc_is_complement_submatrix():
-    rng = random.Random(200)
-    a = _rand_int_matrix(rng, 4, 5)
-    for i in range(1, 5):
-        for j in range(1, 6):
-            direct = remove_rc(a, i, j)
-            via = submatrix(
-                a,
-                IndexSet((i,), 4).complement(),
-                IndexSet((j,), 5).complement(),
-            )
-            assert direct == via
-    with pytest.raises(ValueError):
-        remove_rc(a, 5, 1)
 
 
 def test_matmul_int_against_naive():
@@ -183,7 +166,7 @@ def test_matmul_identity_and_kind_mixing():
 def test_matmul_poly_commutes_with_evaluation():
     rng = random.Random(203)
     g, u = _generic(3)
-    h = g.transpose()
+    h = _transpose(g)
     prod = g @ h
     for _ in range(10):
         pt = {name: rng.randint(-4, 4) for name in u.names}
@@ -211,9 +194,9 @@ def test_det_known_values():
 
 def test_det_three_way_agreement_random():
     rng = random.Random(204)
-    for _ in range(120):
-        n = rng.randint(0, 5)
-        a = _rand_int_matrix(rng, n, n)
+    for draw in range(120):
+        n = rng.randint(0, 7)
+        a = _rand_int_matrix(rng, n, n, bound=1 if draw % 2 else 9)  # bound 1: many zeros
         reference = brute_force_det(a)
         assert det_laplace(a) == reference
         assert det_bareiss(a) == reference
@@ -226,7 +209,7 @@ def test_det_multiplicative_and_transpose_invariant():
         a = _rand_int_matrix(rng, n, n)
         b = _rand_int_matrix(rng, n, n)
         assert det_bareiss(a @ b) == det_bareiss(a) * det_bareiss(b)
-        assert det_bareiss(a.transpose()) == det_bareiss(a)
+        assert det_bareiss(_transpose(a)) == det_bareiss(a)
 
 
 def test_det_bareiss_pivoting_paths():
@@ -258,7 +241,7 @@ def test_brute_force_cap():
 
 
 def test_det_poly_against_permutation_sum():
-    for n in range(4):
+    for n in range(6):
         g, _ = _generic(n)
         assert det_laplace(g) == brute_force_det(g)
 
@@ -272,71 +255,7 @@ def test_det_poly_commutes_with_evaluation():
         assert d.evaluate(pt) == det_bareiss(evaluate_matrix(g, pt))
 
 
-def test_adjugate_identity_int():
-    rng = random.Random(207)
-    for _ in range(30):
-        n = rng.randint(1, 4)
-        a = _rand_int_matrix(rng, n, n)
-        d = det_laplace(a)
-        prod = a @ adjugate(a)
-        for i in range(1, n + 1):
-            for j in range(1, n + 1):
-                assert prod.entry(i, j) == (d if i == j else 0)
-    assert adjugate(MatrixExpr.from_rows([[9]])).entry(1, 1) == 1
-
-
-def test_adjugate_identity_poly():
-    g, u = _generic(3)
-    d = det_laplace(g)
-    prod = g @ adjugate(g)
-    for i in range(1, 4):
-        for j in range(1, 4):
-            assert prod.entry(i, j) == (d if i == j else Polynomial.zero(u))
-
-
 def test_evaluate_matrix_requires_poly_kind():
     a = MatrixExpr.identity(2)
     with pytest.raises(TypeError):
         evaluate_matrix(a, {})
-
-
-def test_matrix_text_roundtrip_int():
-    rng = random.Random(208)
-    for _ in range(30):
-        n, m = rng.randint(0, 4), rng.randint(0, 4)
-        a = _rand_int_matrix(rng, n, m, bound=50)
-        text = matrix_to_text(a)
-        assert text.splitlines()[0] == f"{n} {m} int"
-        back = matrix_from_text(text)
-        assert back == a and back.universe is None
-
-
-def test_matrix_text_roundtrip_poly():
-    g, u = _generic(2)
-    a = MatrixExpr.from_rows(
-        [[g.entry(1, 1) * 3 - 1, Polynomial.zero(u)], [g.entry(2, 1) ** 2, g.entry(1, 2) + 5]],
-        universe=u,
-    )
-    text = matrix_to_text(a)
-    assert text.splitlines()[0] == "2 2 poly"
-    assert " " not in text.splitlines()[1].split(" ")[0]  # glued terms
-    back = matrix_from_text(text, u)
-    assert back == a
-
-
-def test_matrix_text_rejects_malformed():
-    with pytest.raises(ValueError):
-        matrix_from_text("")
-    with pytest.raises(ValueError):
-        matrix_from_text("2 2 float\n1 2\n3 4\n")
-    with pytest.raises(ValueError):
-        matrix_from_text("2 2 int\n1 2\n")
-    with pytest.raises(ValueError):
-        matrix_from_text("1 2 int\n1 2 3\n")
-    with pytest.raises(ValueError):
-        matrix_from_text("1 1 poly\n+1*x\n")  # no universe given
-
-
-def test_matrix_text_zero_dimensions():
-    for mat in (MatrixExpr(0, 0, []), MatrixExpr(0, 3, []), MatrixExpr(3, 0, [])):
-        assert matrix_from_text(matrix_to_text(mat)) == mat

@@ -206,7 +206,6 @@ def test_stats_fields():
 def test_serialize_canonical_examples():
     p = 3 * X**2 * Y - Z
     assert p.serialize() == "+3*x^2*y -1*z"
-    assert p.serialize(compact=True) == "+3*x^2*y-1*z"
     assert str(Polynomial.zero(U)) == "0"
     assert str(Polynomial.constant(U, -7)) == "-7"
     assert str(Polynomial.constant(U, 7)) == "+7"
@@ -235,7 +234,6 @@ def test_parse_roundtrip_random():
     for _ in range(200):
         f = _rand_poly(rng, U)
         assert Polynomial.parse(U, f.serialize()) == f
-        assert Polynomial.parse(U, f.serialize(compact=True)) == f
 
 
 def test_parse_rejects_malformed_text():
