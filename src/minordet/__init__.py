@@ -1,14 +1,11 @@
 """Exact verification of determinant identities on matrices of bordered minors."""
 
 from .exactmat import (
-    IndexSet,
     MatrixExpr,
-    SubsetFamily,
     brute_force_det,
     det_bareiss,
     det_laplace,
     evaluate_matrix,
-    k_subsets,
     matmul,
     submatrix,
 )
@@ -51,12 +48,10 @@ __all__ = [
     "FuzzPlan",
     "FuzzReport",
     "GenericSpec",
-    "IndexSet",
     "MatrixExpr",
     "PolyStats",
     "Polynomial",
     "QuotientReport",
-    "SubsetFamily",
     "SylvesterExponents",
     "UniverseMismatch",
     "VariableUniverse",
@@ -76,7 +71,6 @@ __all__ = [
     "exact_div",
     "fuzz_divisibility",
     "fuzz_sylvester",
-    "k_subsets",
     "matmul",
     "negative_control",
     "quotient",

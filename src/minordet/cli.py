@@ -103,14 +103,10 @@ def _run_verify(args) -> tuple[list[dict], bool]:
 
     check = args.check
     if check == "sylvester":
-        if args.n < 1:
-            raise UsageError("sylvester needs --n >= 1")
         for k in _k_range(args, args.n):
             log(f"sylvester n={args.n} k={k}")
             add(check_sylvester(args.n, k))
     elif check == "chio":
-        if args.n < 1:
-            raise UsageError("chio needs --n >= 1")
         if args.k is not None:
             raise UsageError("chio does not take --k (it is the k=1 compound)")
         log(f"chio n={args.n}")
@@ -121,15 +117,11 @@ def _run_verify(args) -> tuple[list[dict], bool]:
             log(f"cauchy-binet dims={dims} k={k}")
             add(check_cauchy_binet(dims, k, trials=args.trials, seed=args.seed, bound=args.bound))
     elif check == "griolv":
-        if args.n < 2:
-            raise UsageError("griolv needs --n >= 2")
         if args.k is not None:
             raise UsageError("griolv does not take --k (it is the k=2 case)")
         log(f"griolv n={args.n}")
         add(check_griolv_k2(args.n, trials=args.trials, seed=args.seed, bound=args.bound))
     elif check == "lemma-adb0":
-        if args.n > SYMBOLIC_N_LIMIT:
-            raise UsageError(f"lemma-adb0 is symbolic and bounded at --n <= {SYMBOLIC_N_LIMIT}")
         for k in _k_range(args, args.n):
             log(f"lemma-adb0 n={args.n} k={k}")
             add(check_lemma_adb0(args.n, k))
@@ -179,10 +171,6 @@ def main(argv=None) -> int:
         if args.verb == "quotient":
             if args.n < 0:
                 raise UsageError("--n must be nonnegative")
-            if not (0 <= args.k <= args.n):
-                raise UsageError(f"--k must lie in [0, {args.n}]")
-            if args.n > SYMBOLIC_N_LIMIT:
-                raise UsageError(f"quotient is symbolic and bounded at --n <= {SYMBOLIC_N_LIMIT}")
             rep = quotient(args.mode, args.n, args.k, unconstrained_count=args.unconstrained_count)
             d = rep.to_json_dict()
             if args.json:

@@ -3,8 +3,8 @@
 A MatrixExpr is dense row-major and never mixes entry kinds: every entry is
 a Python int, or every entry is a Polynomial over one universe (integer
 literals 0 and 1 are promoted when they appear next to polynomials, nothing
-else is).  All public row/column indices are 1-based to match the index-set
-conventions used throughout; internals are 0-based.
+else is).  All public row/column indices are 1-based, like the paper's
+k-subsets of {1..n}, which are plain increasing tuples; internals are 0-based.
 
 Three determinant routines cross-check one another:
 
@@ -17,7 +17,6 @@ Three determinant routines cross-check one another:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache, partial
 from itertools import combinations, permutations
 from typing import Mapping, Sequence, Union
@@ -27,76 +26,6 @@ from .polyring import Polynomial, VariableUniverse, accumulate_product
 RingEntry = Union[int, Polynomial]
 
 BRUTE_FORCE_CAP = 8
-
-
-@dataclass(frozen=True)
-class IndexSet:
-    """Strictly increasing 1-based indices drawn from a ground set [ground]."""
-
-    elements: tuple[int, ...]
-    ground: int
-
-    def __post_init__(self):
-        elems = tuple(self.elements)
-        object.__setattr__(self, "elements", elems)
-        if self.ground < 0:
-            raise ValueError("ground set size must be nonnegative")
-        if any(e < 1 or e > self.ground for e in elems):
-            raise ValueError("index outside ground set")
-        if any(a >= b for a, b in zip(elems, elems[1:])):
-            raise ValueError("indices must be strictly increasing")
-
-    def plus(self) -> "IndexSet":
-        """Adjoin the new top element: K over [n] becomes K+ over [n+1]."""
-        return IndexSet(self.elements + (self.ground + 1,), self.ground + 1)
-
-    def __iter__(self):
-        return iter(self.elements)
-
-    def __len__(self):
-        return len(self.elements)
-
-    def __contains__(self, item):
-        return item in self.elements
-
-
-@dataclass(frozen=True)
-class SubsetFamily:
-    """All k-subsets of [n] in lexicographic order."""
-
-    n: int
-    k: int
-    members: tuple[IndexSet, ...]
-
-    def __post_init__(self):
-        object.__setattr__(
-            self, "_pos", {m.elements: i for i, m in enumerate(self.members)}
-        )
-
-    @property
-    def size(self) -> int:
-        return len(self.members)
-
-    def index_of(self, subset) -> int:
-        key = subset.elements if isinstance(subset, IndexSet) else tuple(subset)
-        try:
-            return self._pos[key]
-        except KeyError:
-            raise ValueError(f"{key} is not a member of this family") from None
-
-    def __iter__(self):
-        return iter(self.members)
-
-    def __len__(self):
-        return len(self.members)
-
-
-def k_subsets(n: int, k: int) -> SubsetFamily:
-    """Enumerate the k-subsets of {1..n} in lexicographic order."""
-    if n < 0 or k < 0 or k > n:
-        raise ValueError(f"k_subsets needs 0 <= k <= n, got n={n} k={k}")
-    members = tuple(IndexSet(c, n) for c in combinations(range(1, n + 1), k))
-    return SubsetFamily(n, k, members)
 
 
 class MatrixExpr:
@@ -194,12 +123,9 @@ class MatrixExpr:
 
 
 def _normalize_indices(sel, limit: int) -> tuple[int, ...]:
-    if isinstance(sel, IndexSet):
-        idx = sel.elements
-    else:
-        idx = tuple(sel)
-        if any(a >= b for a, b in zip(idx, idx[1:])):
-            raise ValueError("indices must be strictly increasing")
+    idx = tuple(sel)
+    if any(a >= b for a, b in zip(idx, idx[1:])):
+        raise ValueError("indices must be strictly increasing")
     if any(i < 1 or i > limit for i in idx):
         raise ValueError("index out of range")
     return idx

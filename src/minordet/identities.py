@@ -2,29 +2,30 @@
 
 The objects of study are (n+1) x (n+1) matrices A and B with generic
 (symbolic) entries, possibly constrained: a zero corner, a zero last row, or
-borders of ones.  For each k-subset pair (I, J) of {1..n}, the bordered
-minor takes rows I and columns J together with the last row and column.  The
-compound of those minors for one matrix satisfies a classical power identity
-(check_sylvester, check_chio); for the entrywise product of the A-minor and
-the B-minor, zero-corner constraints force det A (or det A * det B) to
-divide the compound determinant, which `quotient` certifies constructively
-by exact polynomial division.
+borders of ones.  A k-subset of {1..n} is an increasing tuple, and the
+subsets are listed in `itertools.combinations` order.  For each pair (I, J)
+of k-subsets, the bordered minor takes rows I and columns J together with
+the last row and column.  The compound of those minors for one matrix
+satisfies a classical power identity (check_sylvester; check_chio is its
+k = 1 case); for the entrywise product of the A-minor and the B-minor,
+zero-corner constraints force det A (or det A * det B) to divide the
+compound determinant, which `quotient` certifies constructively by exact
+polynomial division.
 """
 
 from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
+from itertools import combinations, product
 
 from .exactmat import (
     MatrixExpr,
-    SubsetFamily,
     bordered_minors,
     det_bareiss,
     det_laplace,
     evaluate_matrix,
-    k_subsets,
     matmul,
     submatrix,
 )
@@ -76,14 +77,15 @@ class SylvesterExponents:
 
 @dataclass(frozen=True)
 class CompoundMatrix:
-    """A square matrix indexed by the k-subset family, plus that family."""
+    """A square matrix whose rows and columns are the k-subsets in `family`."""
 
-    family: SubsetFamily
+    family: tuple[tuple[int, ...], ...]
     matrix: MatrixExpr
 
     def entry(self, row_subset, col_subset):
-        i = self.family.index_of(row_subset)
-        j = self.family.index_of(col_subset)
+        """The entry at two k-subsets; ValueError if either is not in the family."""
+        i = self.family.index(tuple(row_subset))
+        j = self.family.index(tuple(col_subset))
         return self.matrix.entry(i + 1, j + 1)
 
 
@@ -216,8 +218,8 @@ def compound_minors(a: MatrixExpr, k: int) -> CompoundMatrix:
     """
     if not a.is_square or a.rows < 1:
         raise ValueError("compound_minors needs a square matrix of size at least 1")
-    family = k_subsets(a.rows - 1, k)
-    m = MatrixExpr(family.size, family.size, bordered_minors(a, k), a.universe)
+    family = _subset_family(a.rows - 1, k)
+    m = MatrixExpr(len(family), len(family), bordered_minors(a, k), a.universe)
     return CompoundMatrix(family, m)
 
 
@@ -227,10 +229,17 @@ def compound_minor_products(a: MatrixExpr, b: MatrixExpr, k: int) -> CompoundMat
         raise ValueError("the two matrices must have equal shape")
     if not a.is_square or a.rows < 1:
         raise ValueError("compound_minor_products needs square matrices of size at least 1")
-    family = k_subsets(a.rows - 1, k)
+    family = _subset_family(a.rows - 1, k)
     ent = [x * y for x, y in zip(bordered_minors(a, k), bordered_minors(b, k))]
-    m = MatrixExpr(family.size, family.size, ent, a.universe)
+    m = MatrixExpr(len(family), len(family), ent, a.universe)
     return CompoundMatrix(family, m)
+
+
+def _subset_family(n: int, k: int) -> tuple[tuple[int, ...], ...]:
+    """The k-subsets of {1..n} in combinations order, for 0 <= k <= n."""
+    if not 0 <= k <= n:
+        raise ValueError(f"need 0 <= k <= n, got n={n} k={k}")
+    return tuple(combinations(range(1, n + 1), k))
 
 
 # -- checks ------------------------------------------------------------------
@@ -260,17 +269,8 @@ def check_sylvester(n: int, k: int) -> VerificationReport:
 
 
 def check_chio(n: int) -> VerificationReport:
-    """Pivotal condensation: det of the k=1 compound equals corner^(n-1) * det."""
-    t0 = time.perf_counter()
-    if n < 1:
-        raise ValueError("check_chio needs n >= 1")
-    a, _ = _single_generic(n)
-    condensed = compound_minors(a, 1)
-    lhs = det_laplace(condensed.matrix)
-    corner = a.entry(n + 1, n + 1)
-    rhs = corner ** (n - 1) * det_laplace(a)
-    passed = lhs == rhs
-    return VerificationReport(check="chio", n=n, k=1, passed=passed, elapsed_ms=_ms(t0))
+    """Pivotal condensation: the k = 1 power identity, corner^(n-1) * det."""
+    return replace(check_sylvester(n, 1), check="chio")
 
 
 def check_cauchy_binet(
@@ -295,9 +295,9 @@ def check_cauchy_binet(
         raise ValueError("need 0 <= k <= min(n, m)")
     if trials < 1:
         raise ValueError("trials must be positive")
-    row_sets = k_subsets(n, k)
-    col_sets = k_subsets(m, k)
-    inner_sets = list(k_subsets(p, k)) if k <= p else []
+    row_sets = tuple(combinations(range(1, n + 1), k))
+    col_sets = tuple(combinations(range(1, m + 1), k))
+    inner_sets = tuple(combinations(range(1, p + 1), k))  # empty when k > p
     passed = True
     witness = None
     for t in range(trials):
@@ -355,9 +355,9 @@ def check_griolv_k2(
     passed = True
     witness = None
     for row_set in compound.family:
-        i, j = row_set.elements
+        i, j = row_set
         for col_set in compound.family:
-            kk, ll = col_set.elements
+            kk, ll = col_set
             expected_a = a.entry(j, kk) + a.entry(i, ll) - a.entry(i, kk) - a.entry(j, ll)
             expected_b = b.entry(j, kk) + b.entry(i, ll) - b.entry(i, kk) - b.entry(j, ll)
             if compound.entry(row_set, col_set) != expected_a * expected_b:
@@ -396,24 +396,21 @@ def quotient(
     mode: str,
     n: int,
     k: int,
-    force: bool = False,
     unconstrained_count: bool = False,
 ) -> QuotientReport:
     """Divide the compound determinant by its forced factor, constructively.
 
     mode "b0" zeroes the corner of B and divides by det A; mode "ab0" zeroes
     both corners and divides by det A * det B.  Symbolic work is bounded at
-    n <= 3 unless force=True.
+    n <= 3.
     """
     t0 = time.perf_counter()
     if mode not in ("b0", "ab0"):
         raise ValueError(f"unknown quotient mode: {mode!r}")
     if k < 0 or k > n:
         raise ValueError("need 0 <= k <= n")
-    if n > SYMBOLIC_N_LIMIT and not force:
-        raise ValueError(
-            f"symbolic quotient is bounded at n <= {SYMBOLIC_N_LIMIT}; pass force=True to override"
-        )
+    if n > SYMBOLIC_N_LIMIT:
+        raise ValueError(f"symbolic quotient is bounded at n <= {SYMBOLIC_N_LIMIT}")
     flags = {"b_corner_zero"} if mode == "b0" else {"a_corner_zero", "b_corner_zero"}
     a, b, _ = build_generic(GenericSpec(n, frozenset(flags)))
     det_w = det_laplace(compound_minor_products(a, b, k).matrix)
@@ -460,15 +457,11 @@ def check_lemma_adb0(n: int, k: int) -> VerificationReport:
     failures = []
     if det_a != corner * det_laplace(submatrix(a, range(1, n + 1), range(1, n + 1))):
         failures.append("corner-block factorization")
-    family = k_subsets(n, k)
-    for row_set in family:
-        for col_set in family:
-            bordered = det_laplace(submatrix(a, row_set.plus(), col_set.plus()))
-            inner = det_laplace(submatrix(a, row_set, col_set))
-            if bordered != corner * inner:
-                failures.append(f"minor factorization at ({row_set.elements}, {col_set.elements})")
-                break
-        if failures and failures[-1].startswith("minor"):
+    compound = compound_minors(a, k)
+    pairs = product(compound.family, repeat=2)  # row-major, like the entries
+    for (row_set, col_set), bordered in zip(pairs, compound.matrix.entries):
+        if bordered != corner * det_laplace(submatrix(a, row_set, col_set)):
+            failures.append(f"minor factorization at ({row_set}, {col_set})")
             break
     det_w = det_laplace(compound_minor_products(a, b, k).matrix)
     q = exact_div(det_w, det_a)

@@ -64,14 +64,6 @@ class VariableUniverse:
     def variable_monomial(self, name: str) -> int:
         return 1 << (8 * (self.nvars - 1 - self.index(name)))
 
-    def pack(self, exponents: Iterable[int]) -> int:
-        exps = list(exponents)
-        if len(exps) != self.nvars:
-            raise ValueError("exponent vector length does not match universe")
-        if any(e < 0 or e > EXPONENT_LIMIT for e in exps):
-            raise ValueError(f"exponents must lie in [0, {EXPONENT_LIMIT}]")
-        return int.from_bytes(bytes(exps), "big")
-
     def unpack(self, monomial: int) -> tuple[int, ...]:
         return tuple(monomial.to_bytes(self.nvars, "big"))
 
@@ -238,16 +230,16 @@ class Polynomial:
     def __pow__(self, exponent: int):
         if not isinstance(exponent, int) or exponent < 0:
             raise ValueError("exponent must be a nonnegative integer")
-        result = Polynomial.one(self.universe)
+        result = None  # starting from the base, not from one, saves a product (det ** 1 in chio)
         base = self
         e = exponent
         while e:
             if e & 1:
-                result = result * base
+                result = base if result is None else result * base
             e >>= 1
             if e:
                 base = base * base
-        return result
+        return Polynomial.one(self.universe) if result is None else result
 
     def __bool__(self):
         return bool(self.terms)

@@ -7,21 +7,17 @@ integer points, which must commute with matmul and det.
 
 from __future__ import annotations
 
-import math
 import random
-from itertools import combinations
 
 import pytest
 
 from minordet.exactmat import (
     BRUTE_FORCE_CAP,
-    IndexSet,
     MatrixExpr,
     brute_force_det,
     det_bareiss,
     det_laplace,
     evaluate_matrix,
-    k_subsets,
     matmul,
     submatrix,
 )
@@ -42,48 +38,6 @@ def _generic(n, letter="m"):
     u = VariableUniverse(names)
     ent = [Polynomial.variable(u, nm) for nm in names]
     return MatrixExpr(n, n, ent, u), u
-
-
-def test_index_set_validation():
-    s = IndexSet((1, 3), 4)
-    assert list(s) == [1, 3]
-    assert len(s) == 2
-    assert 3 in s and 2 not in s
-    with pytest.raises(ValueError):
-        IndexSet((3, 1), 4)
-    with pytest.raises(ValueError):
-        IndexSet((1, 1), 4)
-    with pytest.raises(ValueError):
-        IndexSet((0,), 4)
-    with pytest.raises(ValueError):
-        IndexSet((5,), 4)
-    assert IndexSet((), 0).elements == ()
-
-
-def test_index_set_plus_and_complement():
-    s = IndexSet((1, 3), 4)
-    sp = s.plus()
-    assert sp.elements == (1, 3, 5) and sp.ground == 5
-    assert IndexSet((), 0).plus().elements == (1,)
-
-
-def test_k_subsets_counts_and_order():
-    for n in range(7):
-        for k in range(n + 1):
-            fam = k_subsets(n, k)
-            assert fam.size == math.comb(n, k)
-            elems = [m.elements for m in fam]
-            assert elems == sorted(elems)  # lexicographic enumeration
-            assert elems == list(combinations(range(1, n + 1), k))
-            for i, m in enumerate(fam):
-                assert fam.index_of(m) == i
-                assert fam.index_of(m.elements) == i
-    with pytest.raises(ValueError):
-        k_subsets(3, 4)
-    with pytest.raises(ValueError):
-        k_subsets(-1, 0)
-    with pytest.raises(ValueError):
-        k_subsets(3, 2).index_of((1, 4))
 
 
 def test_matrix_construction_and_entry():
@@ -127,10 +81,14 @@ def test_transpose_and_submatrix():
     assert t.row_list() == [[1, 4], [2, 5], [3, 6]]
     s = submatrix(a, (1, 2), (1, 3))
     assert s.row_list() == [[1, 3], [4, 6]]
-    s2 = submatrix(a, IndexSet((2,), 2), IndexSet((2,), 3))
+    s2 = submatrix(a, (2,), range(2, 3))
     assert s2.row_list() == [[5]]
     with pytest.raises(ValueError):
         submatrix(a, (2, 1), (1,))
+    with pytest.raises(ValueError):
+        submatrix(a, (1,), (1, 1))
+    with pytest.raises(ValueError):
+        submatrix(a, (0,), (1,))
     with pytest.raises(ValueError):
         submatrix(a, (1,), (4,))
     empty = submatrix(a, (), ())

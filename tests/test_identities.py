@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import math
 import random
+from itertools import combinations
 
 import pytest
 
@@ -101,6 +102,27 @@ def test_compound_minors_extreme_k():
     assert cn.matrix.entry(1, 1) == brute_force_det(a)
     with pytest.raises(ValueError):
         compound_minors(MatrixExpr(0, 0, []), 0)
+    for k in (-1, 3):  # k must lie in [0, n]
+        with pytest.raises(ValueError):
+            compound_minors(a, k)
+        with pytest.raises(ValueError):
+            compound_minor_products(a, a, k)
+
+
+def test_compound_family_counts_and_order():
+    for n in range(7):
+        a = MatrixExpr.identity(n + 1)
+        for k in range(n + 1):
+            c = compound_minors(a, k)
+            assert c.family == tuple(combinations(range(1, n + 1), k))
+            assert c.matrix.rows == len(c.family) == math.comb(n, k)
+            for i, subset in enumerate(c.family):
+                assert c.entry(subset, subset) == c.matrix.entry(i + 1, i + 1) == 1
+    c = compound_minors(MatrixExpr.identity(4), 2)
+    with pytest.raises(ValueError):
+        c.entry((1, 4), (1, 2))
+    with pytest.raises(ValueError):
+        c.entry((1, 2), (2, 1))
 
 
 def test_compound_minors_k1_formula():
@@ -238,8 +260,6 @@ def test_quotient_force_and_validation():
         quotient("b0", 2, 3)
     with pytest.raises(ValueError):
         quotient("b0", SYMBOLIC_N_LIMIT + 1, 0)
-    rep = quotient("b0", SYMBOLIC_N_LIMIT + 1, 0, force=True)
-    assert rep.divisible
 
 
 def test_quotient_unconstrained_count():
@@ -293,8 +313,9 @@ def _assert_minors_match_submatrices(a, b, det):
         w = compound_minor_products(a, b, k)
         for row_set in ca.family:
             for col_set in ca.family:
-                want_a = det(submatrix(a, row_set.plus(), col_set.plus()))
-                want_b = det(submatrix(b, row_set.plus(), col_set.plus()))
+                rows, cols = row_set + (n + 1,), col_set + (n + 1,)
+                want_a = det(submatrix(a, rows, cols))
+                want_b = det(submatrix(b, rows, cols))
                 assert ca.entry(row_set, col_set) == want_a, (n, k, row_set, col_set)
                 assert cb.entry(row_set, col_set) == want_b, (n, k, row_set, col_set)
                 assert w.entry(row_set, col_set) == want_a * want_b, (n, k, row_set, col_set)
