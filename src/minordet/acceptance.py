@@ -10,13 +10,7 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass
 
-from .exactmat import (
-    MatrixExpr,
-    brute_force_det,
-    det_bareiss,
-    det_laplace,
-    evaluate_matrix,
-)
+from .exactmat import brute_force_det, det_bareiss, det_laplace, evaluate_matrix
 from .identities import (
     GenericSpec,
     build_generic,
@@ -25,6 +19,7 @@ from .identities import (
     check_griolv_k2,
     check_sylvester,
     compound_minor_products,
+    generic_matrix,
     quotient,
 )
 from .oracle import FuzzPlan, fuzz_divisibility, negative_control
@@ -186,15 +181,12 @@ def criterion_10() -> CriterionResult:
         checked += 1
         if not (d1 == d2 == d3):
             mismatches += 1
-    names = [f"x_{i}_{j}" for i in range(1, 5) for j in range(1, 5)]
-    universe = VariableUniverse(names)
-    sym = MatrixExpr.from_rows(
-        [[Polynomial.variable(universe, f"x_{i}_{j}") for j in range(1, 5)] for i in range(1, 5)]
-    )
+    universe = VariableUniverse(f"x_{i}_{j}" for i in range(1, 5) for j in range(1, 5))
+    sym = generic_matrix(universe, "x", 4, {})
     det_sym = det_laplace(sym)
     for t in range(50):
         rng = trial_rng(654, t)
-        assignment = {name: rng.randint(-99, 99) for name in names}
+        assignment = {name: rng.randint(-99, 99) for name in universe.names}
         checked += 1
         if det_sym.evaluate(assignment) != det_bareiss(evaluate_matrix(sym, assignment)):
             mismatches += 1
@@ -210,15 +202,10 @@ def criterion_11() -> CriterionResult:
     ok = p.content() == 2
     details = [f"content(4x^2+6y^2)={p.content()}"]
     for size in (2, 3, 4):
-        names = [f"x_{i}_{j}" for i in range(1, size + 1) for j in range(1, size + 1)]
-        universe = VariableUniverse(names)
-        m = MatrixExpr.from_rows(
-            [
-                [Polynomial.variable(universe, f"x_{i}_{j}") for j in range(1, size + 1)]
-                for i in range(1, size + 1)
-            ]
+        universe = VariableUniverse(
+            f"x_{i}_{j}" for i in range(1, size + 1) for j in range(1, size + 1)
         )
-        c = det_laplace(m).content()
+        c = det_laplace(generic_matrix(universe, "x", size, {})).content()
         ok = ok and c == 1
         details.append(f"content(det {size}x{size})={c}")
     return _result(11, "content computations", t0, ok, " ".join(details))

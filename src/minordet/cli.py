@@ -28,8 +28,8 @@ from .oracle import FuzzPlan, fuzz_divisibility, fuzz_sylvester, negative_contro
 VERIFY_CHECKS = ("sylvester", "chio", "cauchy-binet", "griolv", "lemma-adb0", "b0", "ab0")
 
 
-class UsageError(Exception):
-    pass
+class UsageError(ValueError):
+    """A rule of the command line itself; like every ValueError, it exits 2."""
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -80,12 +80,9 @@ def _verbose_log(enabled: bool):
     return log
 
 
-def _k_range(args, upper: int) -> list[int]:
-    if args.k is not None:
-        if not (0 <= args.k <= upper):
-            raise UsageError(f"--k must lie in [0, {upper}]")
-        return [args.k]
-    return list(range(0, upper + 1))
+def _k_range(args) -> list[int]:
+    """The requested --k, or every k in [0, n]; the called check bounds an explicit --k."""
+    return [args.k] if args.k is not None else list(range(args.n + 1))
 
 
 def _run_verify(args) -> tuple[list[dict], bool]:
@@ -103,7 +100,7 @@ def _run_verify(args) -> tuple[list[dict], bool]:
 
     check = args.check
     if check == "sylvester":
-        for k in _k_range(args, args.n):
+        for k in _k_range(args):
             log(f"sylvester n={args.n} k={k}")
             add(check_sylvester(args.n, k))
     elif check == "chio":
@@ -113,7 +110,7 @@ def _run_verify(args) -> tuple[list[dict], bool]:
         add(check_chio(args.n))
     elif check == "cauchy-binet":
         dims = (args.n, args.n, args.n)
-        for k in _k_range(args, args.n):
+        for k in _k_range(args):
             log(f"cauchy-binet dims={dims} k={k}")
             add(check_cauchy_binet(dims, k, trials=args.trials, seed=args.seed, bound=args.bound))
     elif check == "griolv":
@@ -122,11 +119,11 @@ def _run_verify(args) -> tuple[list[dict], bool]:
         log(f"griolv n={args.n}")
         add(check_griolv_k2(args.n, trials=args.trials, seed=args.seed, bound=args.bound))
     elif check == "lemma-adb0":
-        for k in _k_range(args, args.n):
+        for k in _k_range(args):
             log(f"lemma-adb0 n={args.n} k={k}")
             add(check_lemma_adb0(args.n, k))
     else:  # b0 / ab0: symbolic quotient when small, pointwise fuzzing when large
-        for k in _k_range(args, args.n):
+        for k in _k_range(args):
             if args.n <= SYMBOLIC_N_LIMIT:
                 log(f"{check} n={args.n} k={k} (symbolic quotient)")
                 add(quotient(check, args.n, k))
@@ -169,8 +166,6 @@ def main(argv=None) -> int:
             return 0 if ok else 1
 
         if args.verb == "quotient":
-            if args.n < 0:
-                raise UsageError("--n must be nonnegative")
             rep = quotient(args.mode, args.n, args.k, unconstrained_count=args.unconstrained_count)
             d = rep.to_json_dict()
             if args.json:
@@ -226,9 +221,6 @@ def main(argv=None) -> int:
             )
         return 0 if all(r.passed for r in results) else 1
 
-    except UsageError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 2
     except (ValueError, ZeroDivisionError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2

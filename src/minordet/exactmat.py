@@ -1,10 +1,10 @@
 """Exact matrices over the integers or over a shared polynomial ring.
 
 A MatrixExpr is dense row-major and never mixes entry kinds: every entry is
-a Python int, or every entry is a Polynomial over one universe (integer
-literals 0 and 1 are promoted when they appear next to polynomials, nothing
-else is).  All public row/column indices are 1-based, like the paper's
-k-subsets of {1..n}, which are plain increasing tuples; internals are 0-based.
+a Python int, or every entry is a Polynomial over one universe.  Nothing is
+promoted: a constant in a polynomial matrix is a `Polynomial.constant`.  All
+public row/column indices are 1-based, like the paper's k-subsets of {1..n},
+which are plain increasing tuples; internals are 0-based.
 
 Three determinant routines cross-check one another:
 
@@ -27,6 +27,10 @@ RingEntry = Union[int, Polynomial]
 
 BRUTE_FORCE_CAP = 8
 
+# det_laplace's index tables (k = n) hold size * 2^(size-1) pairs: cached up to
+# this size (at most 1 024 pairs each), built per call and dropped above it
+LAPLACE_PLAN_CACHE_CAP = 8
+
 
 class MatrixExpr:
     """Dense matrix with integer or polynomial entries, never mixed."""
@@ -47,28 +51,17 @@ class MatrixExpr:
             raise ValueError("entry count does not match dimensions")
         if universe is None:
             for e in entries:
-                if isinstance(e, Polynomial):
+                if not isinstance(e, int):
+                    if not isinstance(e, Polynomial):
+                        raise ValueError(f"unsupported entry type: {type(e).__name__}")
                     universe = e.universe
                     break
         if universe is not None:
-            promoted = []
             for e in entries:
-                if isinstance(e, Polynomial):
-                    if not e.universe.compatible(universe):
-                        raise ValueError("entries over different universes")
-                    promoted.append(e)
-                elif isinstance(e, int) and e in (0, 1):
-                    promoted.append(Polynomial.constant(universe, e))
-                else:
-                    raise ValueError(
-                        "cannot mix integer and polynomial entries "
-                        "(only literals 0 and 1 are promoted)"
-                    )
-            entries = promoted
-        else:
-            for e in entries:
-                if not isinstance(e, int):
-                    raise ValueError(f"unsupported entry type: {type(e).__name__}")
+                if not isinstance(e, Polynomial):
+                    raise ValueError(f"cannot mix {type(e).__name__} and polynomial entries")
+                if not e.universe.compatible(universe):
+                    raise ValueError("entries over different universes")
         self.rows = rows
         self.cols = cols
         self.entries = entries
@@ -200,7 +193,11 @@ def bordered_minors(a: MatrixExpr, k: int) -> list:
     else:
         expand, one = partial(_expand_poly, a.universe), Polynomial.one(a.universe)
     level = {(): [one]}  # column suffix -> minors, indexed like that level's row sets
-    for t, plan in enumerate(_expansion_plan(size, k)):
+    if k < n or size <= LAPLACE_PLAN_CACHE_CAP:
+        plans = _expansion_plan(size, k)
+    else:
+        plans = _expansion_plan.__wrapped__(size, k)
+    for t, plan in enumerate(plans):
         level = {
             cols: expand(ent[cols[0] if cols else n :: size], level[cols[1:]], plan)
             for cols in combinations(range(k - t, n), t)

@@ -10,7 +10,9 @@ satisfies a classical power identity (check_sylvester; check_chio is its
 k = 1 case); for the entrywise product of the A-minor and the B-minor,
 zero-corner constraints force det A (or det A * det B) to divide the
 compound determinant, which `quotient` certifies constructively by exact
-polynomial division.
+polynomial division.  Each theorem's constraints are stated once, in
+THEOREM_CONSTRAINTS; `forced_entries` turns them into fixed entries for both
+the symbolic matrices here and the integer draws of the fuzzing oracle.
 """
 
 from __future__ import annotations
@@ -35,6 +37,14 @@ from .rng import rand_int_matrix, trial_rng
 CONSTRAINT_FLAGS = frozenset(
     {"a_corner_zero", "b_corner_zero", "a_last_row_zero", "borders_one_a", "borders_one_b"}
 )
+
+# Each theorem's hypotheses on (A, B), shared by the symbolic checks and the fuzzing oracle.
+THEOREM_CONSTRAINTS = {
+    "b0": frozenset({"b_corner_zero"}),
+    "ab0": frozenset({"a_corner_zero", "b_corner_zero"}),
+    "adb0": frozenset({"a_last_row_zero", "b_corner_zero"}),
+    "griolv": frozenset({"a_corner_zero", "borders_one_a", "b_corner_zero", "borders_one_b"}),
+}
 
 SYMBOLIC_N_LIMIT = 3
 
@@ -97,18 +107,11 @@ class VerificationReport:
     n: int
     k: int
     passed: bool
-    mode: str | None = None
-    stats: PolyStats | None = None
     witness: dict | None = None
     elapsed_ms: float = 0.0
 
     def to_json_dict(self) -> dict:
-        d: dict = {"check": self.check, "n": self.n, "k": self.k}
-        if self.mode is not None:
-            d["mode"] = self.mode
-        d["pass"] = self.passed
-        if self.stats is not None:
-            d["stats"] = self.stats.to_json_dict()
+        d: dict = {"check": self.check, "n": self.n, "k": self.k, "pass": self.passed}
         if self.witness is not None:
             d["witness"] = self.witness
         d["elapsed_ms"] = self.elapsed_ms
@@ -145,26 +148,34 @@ class QuotientReport:
         return d
 
 
-def _entry_value(i: int, j: int, n: int, corner_zero: bool, last_row_zero: bool, borders_one: bool):
-    """Classify position (i, j) of an (n+1) x (n+1) matrix: "var", 0 or 1."""
+def forced_entries(letter: str, n: int, constraints) -> dict[tuple[int, int], int]:
+    """Positions (1-based) that the flags fix in the (n+1) x (n+1) matrix `letter`, with values.
+
+    `letter` is "a" or "b"; each fixed entry is 0 or 1.
+    """
     last = n + 1
-    if i == last and j == last:
-        return 0 if corner_zero else "var"
-    if i == last and last_row_zero:
-        return 0
-    if (i == last or j == last) and borders_one:
-        return 1
-    return "var"
+    forced = {}
+    if f"borders_one_{letter}" in constraints:
+        for t in range(1, last):
+            forced[(t, last)] = forced[(last, t)] = 1
+    if letter == "a" and "a_last_row_zero" in constraints:  # the corner stays generic
+        for j in range(1, last):
+            forced[(last, j)] = 0
+    if f"{letter}_corner_zero" in constraints:
+        forced[(last, last)] = 0
+    return forced
 
 
-def _matrix_pattern(letter: str, n: int, constraints: frozenset[str]):
-    corner = f"{letter}_corner_zero" in constraints
-    last_row = "a_last_row_zero" in constraints and letter == "a"
-    borders = f"borders_one_{letter}" in constraints
-    return [
-        [_entry_value(i, j, n, corner, last_row, borders) for j in range(1, n + 2)]
-        for i in range(1, n + 2)
+def generic_matrix(universe: VariableUniverse, letter: str, size: int, forced) -> MatrixExpr:
+    """The size x size matrix of variables {letter}_i_j (1-based), constants where forced."""
+    entries = [
+        Polynomial.constant(universe, forced[(i, j)])
+        if (i, j) in forced
+        else Polynomial.variable(universe, f"{letter}_{i}_{j}")
+        for i in range(1, size + 1)
+        for j in range(1, size + 1)
     ]
+    return MatrixExpr(size, size, entries, universe)
 
 
 def build_generic(spec: GenericSpec):
@@ -174,40 +185,24 @@ def build_generic(spec: GenericSpec):
     all a-variables before all b-variables; constrained positions contribute
     constants instead of variables.
     """
-    patterns = {letter: _matrix_pattern(letter, spec.n, spec.constraints) for letter in "ab"}
-    names = [
-        f"{letter}_{i + 1}_{j + 1}"
+    size = spec.n + 1
+    forced = {letter: forced_entries(letter, spec.n, spec.constraints) for letter in "ab"}
+    universe = VariableUniverse(
+        f"{letter}_{i}_{j}"
         for letter in "ab"
-        for i in range(spec.n + 1)
-        for j in range(spec.n + 1)
-        if patterns[letter][i][j] == "var"
-    ]
-    universe = VariableUniverse(names)
-    matrices = {}
-    for letter in "ab":
-        rows = []
-        for i in range(spec.n + 1):
-            row = []
-            for j in range(spec.n + 1):
-                v = patterns[letter][i][j]
-                if v == "var":
-                    row.append(Polynomial.variable(universe, f"{letter}_{i + 1}_{j + 1}"))
-                else:
-                    row.append(Polynomial.constant(universe, v))
-            rows.append(row)
-        matrices[letter] = MatrixExpr.from_rows(rows, universe)
-    return matrices["a"], matrices["b"], universe
+        for i in range(1, size + 1)
+        for j in range(1, size + 1)
+        if (i, j) not in forced[letter]
+    )
+    a, b = (generic_matrix(universe, letter, size, forced[letter]) for letter in "ab")
+    return a, b, universe
 
 
-def _single_generic(n: int, letter: str = "a"):
+def _single_generic(n: int):
     """One fully generic (n+1) x (n+1) matrix over a universe of its own variables."""
-    names = [f"{letter}_{i}_{j}" for i in range(1, n + 2) for j in range(1, n + 2)]
-    universe = VariableUniverse(names)
-    rows = [
-        [Polynomial.variable(universe, f"{letter}_{i}_{j}") for j in range(1, n + 2)]
-        for i in range(1, n + 2)
-    ]
-    return MatrixExpr.from_rows(rows, universe), universe
+    size = n + 1
+    universe = VariableUniverse(f"a_{i}_{j}" for i in range(1, size + 1) for j in range(1, size + 1))
+    return generic_matrix(universe, "a", size, {}), universe
 
 
 def compound_minors(a: MatrixExpr, k: int) -> CompoundMatrix:
@@ -347,10 +342,7 @@ def check_griolv_k2(
     t0 = time.perf_counter()
     if n < 2:
         raise ValueError("check_griolv_k2 needs n >= 2")
-    spec = GenericSpec(
-        n, frozenset({"a_corner_zero", "borders_one_a", "b_corner_zero", "borders_one_b"})
-    )
-    a, b, universe = build_generic(spec)
+    a, b, universe = build_generic(GenericSpec(n, THEOREM_CONSTRAINTS["griolv"]))
     compound = compound_minor_products(a, b, 2)
     passed = True
     witness = None
@@ -411,8 +403,7 @@ def quotient(
         raise ValueError("need 0 <= k <= n")
     if n > SYMBOLIC_N_LIMIT:
         raise ValueError(f"symbolic quotient is bounded at n <= {SYMBOLIC_N_LIMIT}")
-    flags = {"b_corner_zero"} if mode == "b0" else {"a_corner_zero", "b_corner_zero"}
-    a, b, _ = build_generic(GenericSpec(n, frozenset(flags)))
+    a, b, _ = build_generic(GenericSpec(n, THEOREM_CONSTRAINTS[mode]))
     det_w = det_laplace(compound_minor_products(a, b, k).matrix)
     divisor = det_laplace(a) if mode == "b0" else det_laplace(a) * det_laplace(b)
     if not divisor:
@@ -451,7 +442,7 @@ def check_lemma_adb0(n: int, k: int) -> VerificationReport:
         raise ValueError("need 0 <= k <= n")
     if n > SYMBOLIC_N_LIMIT:
         raise ValueError(f"check_lemma_adb0 is symbolic and bounded at n <= {SYMBOLIC_N_LIMIT}")
-    a, b, _ = build_generic(GenericSpec(n, frozenset({"a_last_row_zero", "b_corner_zero"})))
+    a, b, _ = build_generic(GenericSpec(n, THEOREM_CONSTRAINTS["adb0"]))
     corner = a.entry(n + 1, n + 1)
     det_a = det_laplace(a)
     failures = []

@@ -13,7 +13,13 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 
 from .exactmat import MatrixExpr, det_bareiss
-from .identities import SylvesterExponents, compound_minor_products, compound_minors
+from .identities import (
+    THEOREM_CONSTRAINTS,
+    SylvesterExponents,
+    compound_minor_products,
+    compound_minors,
+    forced_entries,
+)
 from .rng import rand_int_matrix, trial_rng
 
 DIVISIBILITY_THEOREMS = ("b0", "ab0", "adb0")
@@ -85,7 +91,7 @@ def random_instance(plan: FuzzPlan, trial: int, apply_constraints: bool = True):
     """The (A, B) integer pair for one trial; deterministic in (plan, trial).
 
     Entries are uniform in [-bound, bound], A drawn row-major then B; the
-    theorem's structural constraints overwrite entries afterwards, so the
+    theorem's THEOREM_CONSTRAINTS overwrite entries afterwards, so the
     unconstrained draw (apply_constraints=False) shares the same randomness.
     """
     rng = trial_rng(plan.seed, trial)
@@ -93,14 +99,10 @@ def random_instance(plan: FuzzPlan, trial: int, apply_constraints: bool = True):
     a = rand_int_matrix(rng, size, size, plan.bound)
     b = rand_int_matrix(rng, size, size, plan.bound)
     if apply_constraints:
-        corner = size * size - 1
-        if plan.theorem in ("b0", "ab0", "adb0"):
-            b.entries[corner] = 0
-        if plan.theorem == "ab0":
-            a.entries[corner] = 0
-        if plan.theorem == "adb0":
-            for j in range(size - 1):
-                a.entries[(size - 1) * size + j] = 0
+        constraints = THEOREM_CONSTRAINTS.get(plan.theorem, frozenset())  # sylv has none
+        for letter, m in (("a", a), ("b", b)):
+            for (i, j), value in forced_entries(letter, plan.n, constraints).items():
+                m.entries[(i - 1) * size + j - 1] = value
     return a, b
 
 

@@ -14,6 +14,11 @@ Each byte keeps its top bit as a guard, so exponents are capped at 127 and
 monomial divisibility can be decided by one subtraction and one mask test.
 Coefficients are arbitrary-precision ints; term maps never hold a zero
 coefficient and the zero polynomial has an empty term map.
+
+A polynomial is built only by `Polynomial.variable`, `constant` (with
+`zero` and `one`) and `from_terms`, which check their input, and by ring
+operations; `Polynomial(...)` itself raises TypeError.  The text form of
+`serialize` is for display and has no parser.
 """
 
 from __future__ import annotations
@@ -28,8 +33,6 @@ from typing import Iterable, Mapping
 EXPONENT_LIMIT = 127
 
 _NAME_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*\Z")
-_TERM_RE = re.compile(r"([+-])(\d+)((?:\*[A-Za-z_][A-Za-z0-9_]*(?:\^\d+)?)*)")
-_FACTOR_RE = re.compile(r"\*([A-Za-z_][A-Za-z0-9_]*)(?:\^(\d+))?")
 
 
 class UniverseMismatch(ValueError):
@@ -70,12 +73,6 @@ class VariableUniverse:
     def compatible(self, other: "VariableUniverse") -> bool:
         return self is other or self.names == other.names
 
-    def __eq__(self, other):
-        return isinstance(other, VariableUniverse) and self.names == other.names
-
-    def __hash__(self):
-        return hash(self.names)
-
     def __repr__(self):
         return f"VariableUniverse({len(self.names)} vars)"
 
@@ -97,27 +94,16 @@ class PolyStats:
 
 
 class Polynomial:
-    """Immutable canonical polynomial: packed monomial -> nonzero coefficient."""
+    """Immutable canonical polynomial: packed monomial -> nonzero coefficient.
+
+    Build one with the named constructors below or by ring operations.
+    """
 
     __slots__ = ("universe", "terms", "_key_or")
 
-    def __init__(self, universe: VariableUniverse, terms: Mapping[int, int] = ()):
-        clean: dict[int, int] = {}
-        guard = universe._guard_mask
-        for m, c in dict(terms).items():
-            if m < 0 or (m & guard):
-                raise ValueError("monomial out of range for universe")
-            if m >> (8 * universe.nvars):
-                raise ValueError("monomial has more variables than universe")
-            if c:
-                clean[m] = c
-        self.universe = universe
-        self.terms = clean
-        self._key_or = None
-
     @classmethod
     def _from_clean(cls, universe: VariableUniverse, terms: dict[int, int]) -> "Polynomial":
-        # internal: terms already canonical, no validation pass
+        # the one constructor; terms already canonical, no validation pass
         self = object.__new__(cls)
         self.universe = universe
         self.terms = terms
@@ -292,7 +278,7 @@ class Polynomial:
             total += v
         return total
 
-    # -- canonical text ----------------------------------------------------
+    # -- text form, for display ---------------------------------------------
 
     def serialize(self) -> str:
         """Canonical text form, terms in descending lex order, one space apart."""
@@ -311,43 +297,6 @@ class Polynomial:
                     bits.append(f"{name}^{e}")
             parts.append("*".join(bits))
         return " ".join(parts)
-
-    @classmethod
-    def parse(cls, universe: VariableUniverse, text: str) -> "Polynomial":
-        """Inverse of serialize; accepts spaced or glued terms, nothing else."""
-        if text == "0":
-            return cls.zero(universe)
-        terms: dict[int, int] = {}
-        for token in text.split(" "):
-            if not token:
-                raise ValueError("empty term in polynomial text")
-            pos = 0
-            while pos < len(token):
-                m = _TERM_RE.match(token, pos)
-                if not m or m.start() != pos:
-                    raise ValueError(f"cannot parse polynomial near {token[pos:]!r}")
-                sign, digits, factors = m.groups()
-                coeff = int(digits)
-                if coeff == 0:
-                    raise ValueError("zero coefficient term")
-                if sign == "-":
-                    coeff = -coeff
-                mono = 0
-                prev_index = -1
-                for f in _FACTOR_RE.finditer(factors):
-                    name, exp = f.group(1), int(f.group(2) or 1)
-                    idx = universe.index(name)
-                    if idx <= prev_index:
-                        raise ValueError("variables out of canonical order in term")
-                    prev_index = idx
-                    if exp < 1 or exp > EXPONENT_LIMIT:
-                        raise ValueError(f"exponent out of range: {exp}")
-                    mono += exp << (8 * (universe.nvars - 1 - idx))
-                if mono in terms:
-                    raise ValueError("duplicate monomial in polynomial text")
-                terms[mono] = coeff
-                pos = m.end()
-        return cls._from_clean(universe, terms)
 
     def __str__(self):
         return self.serialize()

@@ -13,7 +13,9 @@ import pytest
 
 from minordet.exactmat import (
     BRUTE_FORCE_CAP,
+    LAPLACE_PLAN_CACHE_CAP,
     MatrixExpr,
+    _expansion_plan,
     brute_force_det,
     det_bareiss,
     det_laplace,
@@ -59,16 +61,18 @@ def test_matrix_construction_and_entry():
 
 
 def test_entry_kind_promotion_rules():
+    # no promotion: a polynomial matrix holds polynomials only, literals 0 and 1 included
     u = VariableUniverse(["x"])
     x = Polynomial.variable(u, "x")
-    a = MatrixExpr.from_rows([[x, 1], [0, x]])
-    assert all(isinstance(e, Polynomial) for e in a.entries)
-    assert a.entry(1, 2) == Polynomial.one(u)
+    a = MatrixExpr.from_rows([[x, Polynomial.one(u)], [Polynomial.zero(u), x]])
+    assert a.universe is u and a.entry(1, 2) == 1
+    for rows in ([[x, 1], [0, x]], [[0, x]], [[x, 2]]):
+        with pytest.raises(ValueError):
+            MatrixExpr.from_rows(rows)
     with pytest.raises(ValueError):
-        MatrixExpr.from_rows([[x, 2]])
-    # explicit universe turns an all-literal matrix polynomial
-    b = MatrixExpr.from_rows([[1, 0]], universe=u)
-    assert b.universe is u and isinstance(b.entry(1, 1), Polynomial)
+        MatrixExpr.from_rows([[1, 0]], universe=u)
+    with pytest.raises(ValueError):
+        MatrixExpr.from_rows([[1, "2"]])
     other = VariableUniverse(["y"])
     with pytest.raises(ValueError):
         MatrixExpr.from_rows([[x, Polynomial.variable(other, "y")]])
@@ -148,6 +152,12 @@ def test_det_known_values():
     assert det_laplace(MatrixExpr.identity(5)) == 1
     with pytest.raises(ValueError):
         det_laplace(MatrixExpr(2, 3, [0] * 6))
+    # above the cap, det_laplace builds its size * 2^(size-1) index pairs per call and caches none
+    size = LAPLACE_PLAN_CACHE_CAP + 4
+    big = _rand_int_matrix(random.Random(207), size, size)
+    before = _expansion_plan.cache_info()
+    assert det_laplace(big) == det_bareiss(big)
+    assert _expansion_plan.cache_info() == before
 
 
 def test_det_three_way_agreement_random():

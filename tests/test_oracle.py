@@ -4,8 +4,8 @@ from __future__ import annotations
 
 import pytest
 
-from minordet.exactmat import det_bareiss
-from minordet.identities import compound_minors
+from minordet.exactmat import det_bareiss, evaluate_matrix
+from minordet.identities import THEOREM_CONSTRAINTS, GenericSpec, build_generic, compound_minors
 from minordet.oracle import (
     DIVISIBILITY_THEOREMS,
     MAX_N_DIVISIBILITY,
@@ -73,6 +73,21 @@ def test_random_instance_applies_constraints():
                     assert a.entry(i, j) == raw_a.entry(i, j)
                 if (i, j) != (size, size):
                     assert b.entry(i, j) == raw_b.entry(i, j)
+    # both evidence tiers read one table: the fuzzed pair is the symbolic pair
+    # evaluated at the unconstrained draw
+    for theorem in DIVISIBILITY_THEOREMS:
+        for n in range(6):
+            plan = FuzzPlan(theorem, n, 0, trials=3, seed=n, bound=9)
+            ga, gb, _ = build_generic(GenericSpec(n, THEOREM_CONSTRAINTS[theorem]))
+            for t in range(plan.trials):
+                raw_a, raw_b = random_instance(plan, t, apply_constraints=False)
+                point = {
+                    f"{letter}_{i}_{j}": m.entry(i, j)
+                    for letter, m in (("a", raw_a), ("b", raw_b))
+                    for i in range(1, n + 2)
+                    for j in range(1, n + 2)
+                }
+                assert random_instance(plan, t) == (evaluate_matrix(ga, point), evaluate_matrix(gb, point))
 
 
 def test_fuzz_divisibility_clean_runs():
