@@ -32,6 +32,10 @@ RUNS = [
     "verify --check b0 --n 3",
     "verify --check ab0 --n 3",
     "quotient --mode b0 --n 3 --k 2 --unconstrained-count",
+    "verify --check griolv --n 3",
+    "verify --check b0 --n 4 --k 2 --trials 20 --seed 2 --bound 20",
+    "quotient --mode ab0 --n 0 --k 0",
+    "fuzz --theorem b0 --n 1 --k 0 --trials 1 --seed 0 --bound 1 --negative-control",
 ]
 
 
