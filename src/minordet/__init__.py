@@ -18,7 +18,6 @@ from .identities import (
     build_generic,
     check_cauchy_binet,
     check_chio,
-    check_griolv_k2,
     check_lemma_adb0,
     check_sylvester,
     compound_minor_products,
@@ -28,6 +27,7 @@ from .identities import (
 from .oracle import (
     FuzzPlan,
     FuzzReport,
+    check_griolv_k2,
     fuzz_divisibility,
     fuzz_sylvester,
     negative_control,

@@ -18,12 +18,11 @@ from .identities import (
     SYMBOLIC_N_LIMIT,
     check_cauchy_binet,
     check_chio,
-    check_griolv_k2,
     check_lemma_adb0,
     check_sylvester,
     quotient,
 )
-from .oracle import FuzzPlan, fuzz_divisibility, fuzz_sylvester, negative_control
+from .oracle import FuzzPlan, check_griolv_k2, fuzz_divisibility, fuzz_sylvester, negative_control
 
 VERIFY_CHECKS = ("sylvester", "chio", "cauchy-binet", "griolv", "lemma-adb0", "b0", "ab0")
 
@@ -85,69 +84,59 @@ def _k_range(args) -> list[int]:
     return [args.k] if args.k is not None else list(range(args.n + 1))
 
 
-def _run_verify(args) -> tuple[list[dict], bool]:
+def _run_verify(args) -> list:
     log = _verbose_log(args.verbose)
     if args.n < 0:
         raise UsageError("--n must be nonnegative")
-    reports: list[dict] = []
-    ok = True
-
-    def add(report):
-        nonlocal ok
-        d = report.to_json_dict()
-        reports.append(d)
-        ok = ok and d["pass"]
-
+    reports = []
     check = args.check
     if check == "sylvester":
         for k in _k_range(args):
             log(f"sylvester n={args.n} k={k}")
-            add(check_sylvester(args.n, k))
+            reports.append(check_sylvester(args.n, k))
     elif check == "chio":
         if args.k is not None:
             raise UsageError("chio does not take --k (it is the k=1 compound)")
         log(f"chio n={args.n}")
-        add(check_chio(args.n))
+        reports.append(check_chio(args.n))
     elif check == "cauchy-binet":
         dims = (args.n, args.n, args.n)
         for k in _k_range(args):
             log(f"cauchy-binet dims={dims} k={k}")
-            add(check_cauchy_binet(dims, k, trials=args.trials, seed=args.seed, bound=args.bound))
+            reports.append(check_cauchy_binet(dims, k, trials=args.trials, seed=args.seed, bound=args.bound))
     elif check == "griolv":
         if args.k is not None:
             raise UsageError("griolv does not take --k (it is the k=2 case)")
         log(f"griolv n={args.n}")
-        add(check_griolv_k2(args.n, trials=args.trials, seed=args.seed, bound=args.bound))
+        reports.append(check_griolv_k2(args.n, trials=args.trials, seed=args.seed, bound=args.bound))
     elif check == "lemma-adb0":
         for k in _k_range(args):
             log(f"lemma-adb0 n={args.n} k={k}")
-            add(check_lemma_adb0(args.n, k))
+            reports.append(check_lemma_adb0(args.n, k))
     else:  # b0 / ab0: symbolic quotient when small, pointwise fuzzing when large
         for k in _k_range(args):
             if args.n <= SYMBOLIC_N_LIMIT:
                 log(f"{check} n={args.n} k={k} (symbolic quotient)")
-                add(quotient(check, args.n, k))
+                reports.append(quotient(check, args.n, k))
             else:
                 log(f"{check} n={args.n} k={k} (pointwise fuzzing)")
                 plan = FuzzPlan(check, args.n, k, trials=args.trials, seed=args.seed, bound=args.bound)
-                rep = fuzz_divisibility(plan)
-                reports.append(rep.to_json_dict())
-                ok = ok and rep.failures == 0
-    return reports, ok
+                reports.append(fuzz_divisibility(plan))
+    return reports
 
 
-def _human_verify_line(d: dict) -> str:
-    if "theorem" in d:  # fuzz-shaped report
-        status = "PASS" if d["failures"] == 0 else "FAIL"
-        return (
-            f"{d['theorem']} n={d['n']} k={d['k']}: {status} "
-            f"({d['passes']} passes, {d['failures']} failures)"
-        )
-    status = "PASS" if d["pass"] else "FAIL"
-    extra = ""
-    if "stats" in d:
-        extra = f" quotient monomials={d['stats']['monomials']}"
-    return f"{d['check']} n={d['n']} k={d['k']}: {status}{extra} ({d['elapsed_ms']} ms)"
+def _emit(args, reports: list) -> int:
+    """Print the reports, as JSON or by their summaries; exit 0 if every one passed."""
+    passed = all(r.passed for r in reports)
+    if args.json:
+        payload = [r.to_json_dict() for r in reports]
+        print(json.dumps(payload[0] if len(payload) == 1 else payload, indent=2))
+    else:
+        for r in reports:
+            print(r.summary())
+        if args.verb == "verify":  # a sweep ends with its overall verdict
+            print("all checks passed" if passed else "CHECK FAILURES PRESENT")
+    return 0 if passed else 1
 
 
 def main(argv=None) -> int:
@@ -155,26 +144,10 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         if args.verb == "verify":
-            reports, ok = _run_verify(args)
-            if args.json:
-                payload = reports[0] if len(reports) == 1 else reports
-                print(json.dumps(payload, indent=2))
-            else:
-                for d in reports:
-                    print(_human_verify_line(d))
-                print("all checks passed" if ok else "CHECK FAILURES PRESENT")
-            return 0 if ok else 1
+            return _emit(args, _run_verify(args))
 
         if args.verb == "quotient":
-            rep = quotient(args.mode, args.n, args.k, unconstrained_count=args.unconstrained_count)
-            d = rep.to_json_dict()
-            if args.json:
-                print(json.dumps(d, indent=2))
-            else:
-                print(_human_verify_line(d))
-                if rep.unconstrained_detw_monomials is not None:
-                    print(f"unconstrained compound determinant monomials: {rep.unconstrained_detw_monomials}")
-            return 0 if rep.divisible else 1
+            return _emit(args, [quotient(args.mode, args.n, args.k, unconstrained_count=args.unconstrained_count)])
 
         if args.verb == "fuzz":
             plan = FuzzPlan(args.theorem, args.n, args.k, args.trials, args.seed, args.bound)
@@ -182,24 +155,11 @@ def main(argv=None) -> int:
                 if args.theorem == "sylv":
                     raise UsageError("--negative-control applies to divisibility theorems only")
                 rep = negative_control(plan)
-                passed = rep.failures >= 1 or rep.note == "vacuous"
             elif args.theorem == "sylv":
                 rep = fuzz_sylvester(plan)
-                passed = rep.failures == 0
             else:
                 rep = fuzz_divisibility(plan)
-                passed = rep.failures == 0
-            d = rep.to_json_dict()
-            if args.json:
-                print(json.dumps(d, indent=2))
-            else:
-                status = "PASS" if passed else "FAIL"
-                note = f" note={rep.note}" if rep.note else ""
-                print(
-                    f"{plan.theorem} n={plan.n} k={plan.k}: {status} "
-                    f"({rep.passes} passes, {rep.failures} failures{note})"
-                )
-            return 0 if passed else 1
+            return _emit(args, [rep])
 
         # selftest
         results = run_all()

@@ -9,10 +9,13 @@ the last row and column.  The compound of those minors for one matrix
 satisfies a classical power identity (check_sylvester; check_chio is its
 k = 1 case); for the entrywise product of the A-minor and the B-minor,
 zero-corner constraints force det A (or det A * det B) to divide the
-compound determinant, which `quotient` certifies constructively by exact
-polynomial division.  Each theorem's constraints are stated once, in
-THEOREM_CONSTRAINTS; `forced_entries` turns them into fixed entries for both
-the symbolic matrices here and the integer draws of the fuzzing oracle.
+compound determinant.  Each theorem's constraints are stated once, in
+THEOREM_CONSTRAINTS, and both evidence tiers read them there:
+`forced_entries` turns them into fixed entries of the symbolic matrices here
+and of the fuzzing oracle's integer draws, and `forced_divisor` derives the
+divisor from them.  `symbolic_quotient` certifies the divisibility by exact
+polynomial division for `quotient`, `check_lemma_adb0` and the symbolic half
+of `oracle.check_griolv_k2`.
 """
 
 from __future__ import annotations
@@ -27,7 +30,6 @@ from .exactmat import (
     bordered_minors,
     det_bareiss,
     det_laplace,
-    evaluate_matrix,
     matmul,
     submatrix,
 )
@@ -117,6 +119,9 @@ class VerificationReport:
         d["elapsed_ms"] = self.elapsed_ms
         return d
 
+    def summary(self) -> str:
+        return f"{self.check} n={self.n} k={self.k}: {'PASS' if self.passed else 'FAIL'} ({self.elapsed_ms} ms)"
+
 
 @dataclass
 class QuotientReport:
@@ -130,6 +135,10 @@ class QuotientReport:
     detw_stats: PolyStats
     unconstrained_detw_monomials: int | None = None
     elapsed_ms: float = 0.0
+
+    @property
+    def passed(self) -> bool:
+        return self.divisible
 
     def to_json_dict(self) -> dict:
         d: dict = {
@@ -146,6 +155,15 @@ class QuotientReport:
             d["unconstrained_detw_monomials"] = self.unconstrained_detw_monomials
         d["elapsed_ms"] = self.elapsed_ms
         return d
+
+    def summary(self) -> str:
+        line = f"quotient n={self.n} k={self.k}: {'PASS' if self.passed else 'FAIL'}"
+        if self.quotient_stats is not None:
+            line += f" quotient monomials={self.quotient_stats.monomials}"
+        line += f" ({self.elapsed_ms} ms)"
+        if self.unconstrained_detw_monomials is not None:
+            line += f"\nunconstrained compound determinant monomials: {self.unconstrained_detw_monomials}"
+        return line
 
 
 def forced_entries(letter: str, n: int, constraints) -> dict[tuple[int, int], int]:
@@ -235,6 +253,30 @@ def _subset_family(n: int, k: int) -> tuple[tuple[int, ...], ...]:
     if not 0 <= k <= n:
         raise ValueError(f"need 0 <= k <= n, got n={n} k={k}")
     return tuple(combinations(range(1, n + 1), k))
+
+
+def forced_divisor(theorem: str, a, b, det):
+    """What the theorem's hypotheses force to divide det W: det A, times det B if A's corner is 0.
+
+    `det` is the determinant to take: det_laplace for symbolic (A, B),
+    det_bareiss for integer draws.
+    """
+    if "a_corner_zero" in THEOREM_CONSTRAINTS[theorem]:
+        return det(a) * det(b)
+    return det(a)
+
+
+def symbolic_quotient(theorem: str, a: MatrixExpr, b: MatrixExpr, k: int):
+    """(det W, forced divisor, det W / divisor or None) for a symbolic pair.
+
+    A zero divisor (det A at n = 0 under a zero corner) divides only a zero
+    det W, and then the quotient is 0.
+    """
+    det_w = det_laplace(compound_minor_products(a, b, k).matrix)
+    divisor = forced_divisor(theorem, a, b, det_laplace)
+    if not divisor:
+        return det_w, divisor, None if det_w else Polynomial.zero(det_w.universe)
+    return det_w, divisor, exact_div(det_w, divisor)
 
 
 # -- checks ------------------------------------------------------------------
@@ -328,62 +370,6 @@ def check_cauchy_binet(
     )
 
 
-def check_griolv_k2(
-    n: int, trials: int = 100, seed: int = 0, bound: int = 100
-) -> VerificationReport:
-    """Borders-one, corner-zero case at k = 2: closed-form entries plus divisibility.
-
-    Every entry of the minor-product compound must equal
-    (a_jk + a_il - a_ik - a_jl) * (b_jk + b_il - b_ik - b_jl) for row pair
-    {i < j} and column pair {k < l}.  Divisibility of the compound
-    determinant by det A * det B is verified symbolically for n <= 3 and at
-    random integer points for larger n.
-    """
-    t0 = time.perf_counter()
-    if n < 2:
-        raise ValueError("check_griolv_k2 needs n >= 2")
-    a, b, universe = build_generic(GenericSpec(n, THEOREM_CONSTRAINTS["griolv"]))
-    compound = compound_minor_products(a, b, 2)
-    passed = True
-    witness = None
-    for row_set in compound.family:
-        i, j = row_set
-        for col_set in compound.family:
-            kk, ll = col_set
-            expected_a = a.entry(j, kk) + a.entry(i, ll) - a.entry(i, kk) - a.entry(j, ll)
-            expected_b = b.entry(j, kk) + b.entry(i, ll) - b.entry(i, kk) - b.entry(j, ll)
-            if compound.entry(row_set, col_set) != expected_a * expected_b:
-                passed = False
-                witness = {"row_set": list(row_set), "col_set": list(col_set), "problem": "entry"}
-                break
-        if not passed:
-            break
-    if passed:
-        if n <= SYMBOLIC_N_LIMIT:
-            det_w = det_laplace(compound.matrix)
-            divisor = det_laplace(a) * det_laplace(b)
-            q = exact_div(det_w, divisor)
-            if q is None or divisor * q != det_w:
-                passed = False
-                witness = {"problem": "divisibility", "evidence": "symbolic"}
-        else:
-            for t in range(trials):
-                rng = trial_rng(seed, t)
-                assignment = {name: rng.randint(-bound, bound) for name in universe.names}
-                w_val = det_bareiss(evaluate_matrix(compound.matrix, assignment))
-                d_val = det_bareiss(evaluate_matrix(a, assignment)) * det_bareiss(
-                    evaluate_matrix(b, assignment)
-                )
-                ok = (w_val == 0) if d_val == 0 else (w_val % d_val == 0)
-                if not ok:
-                    passed = False
-                    witness = {"problem": "divisibility", "evidence": "pointwise", "trial": t}
-                    break
-    return VerificationReport(
-        check="griolv", n=n, k=2, passed=passed, witness=witness, elapsed_ms=_ms(t0)
-    )
-
-
 def quotient(
     mode: str,
     n: int,
@@ -392,8 +378,8 @@ def quotient(
 ) -> QuotientReport:
     """Divide the compound determinant by its forced factor, constructively.
 
-    mode "b0" zeroes the corner of B and divides by det A; mode "ab0" zeroes
-    both corners and divides by det A * det B.  Symbolic work is bounded at
+    mode "b0" zeroes the corner of B and "ab0" both corners; the divisor is
+    forced_divisor's (det A, or det A * det B).  Symbolic work is bounded at
     n <= 3.
     """
     t0 = time.perf_counter()
@@ -404,15 +390,7 @@ def quotient(
     if n > SYMBOLIC_N_LIMIT:
         raise ValueError(f"symbolic quotient is bounded at n <= {SYMBOLIC_N_LIMIT}")
     a, b, _ = build_generic(GenericSpec(n, THEOREM_CONSTRAINTS[mode]))
-    det_w = det_laplace(compound_minor_products(a, b, k).matrix)
-    divisor = det_laplace(a) if mode == "b0" else det_laplace(a) * det_laplace(b)
-    if not divisor:
-        # n = 0 in mode ab0: det A = 0 and det W = 0, so 0 divides 0 with quotient 0
-        divisible = not det_w
-        q = Polynomial.zero(det_w.universe) if divisible else None
-    else:
-        q = exact_div(det_w, divisor)
-        divisible = q is not None
+    det_w, _, q = symbolic_quotient(mode, a, b, k)
     unconstrained = None
     if unconstrained_count:
         ga, gb, _ = build_generic(GenericSpec(n, frozenset()))
@@ -421,7 +399,7 @@ def quotient(
         mode=mode,
         n=n,
         k=k,
-        divisible=divisible,
+        divisible=q is not None,
         quotient_stats=q.stats() if q is not None else None,
         detw_stats=det_w.stats(),
         unconstrained_detw_monomials=unconstrained,
@@ -444,7 +422,7 @@ def check_lemma_adb0(n: int, k: int) -> VerificationReport:
         raise ValueError(f"check_lemma_adb0 is symbolic and bounded at n <= {SYMBOLIC_N_LIMIT}")
     a, b, _ = build_generic(GenericSpec(n, THEOREM_CONSTRAINTS["adb0"]))
     corner = a.entry(n + 1, n + 1)
-    det_a = det_laplace(a)
+    det_w, det_a, q = symbolic_quotient("adb0", a, b, k)
     failures = []
     if det_a != corner * det_laplace(submatrix(a, range(1, n + 1), range(1, n + 1))):
         failures.append("corner-block factorization")
@@ -454,8 +432,6 @@ def check_lemma_adb0(n: int, k: int) -> VerificationReport:
         if bordered != corner * det_laplace(submatrix(a, row_set, col_set)):
             failures.append(f"minor factorization at ({row_set}, {col_set})")
             break
-    det_w = det_laplace(compound_minor_products(a, b, k).matrix)
-    q = exact_div(det_w, det_a)
     if q is None or det_a * q != det_w:
         failures.append("divisibility")
     passed = not failures

@@ -101,6 +101,12 @@ class Polynomial:
 
     __slots__ = ("universe", "terms", "_key_or")
 
+    def __new__(cls, *args, **kwargs):
+        raise TypeError("build a Polynomial with variable, constant, from_terms or ring operations")
+
+    def __reduce__(self):  # copy and pickle rebuild through _from_clean, not __new__
+        return (Polynomial._from_clean, (self.universe, self.terms))
+
     @classmethod
     def _from_clean(cls, universe: VariableUniverse, terms: dict[int, int]) -> "Polynomial":
         # the one constructor; terms already canonical, no validation pass

@@ -78,6 +78,16 @@ def test_verify_b0_large_n_goes_pointwise(capsys):
     assert payload["failures"] == 0
 
 
+def test_verify_pointwise_human_line(capsys):
+    rc = main([
+        "verify", "--check", "b0", "--n", "4", "--k", "1",
+        "--trials", "5", "--seed", "2", "--bound", "20",
+    ])
+    out = capsys.readouterr().out
+    assert rc == 0
+    assert out.splitlines() == ["b0 n=4 k=1: PASS (5 passes, 0 failures)", "all checks passed"]
+
+
 def test_verify_verbose_logs_to_stderr(capsys):
     rc = main(["verify", "--check", "chio", "--n", "2", "--json", "--verbose"])
     captured = capsys.readouterr()
@@ -94,6 +104,7 @@ def test_verify_usage_errors(capsys):
         ["verify", "--check", "sylvester", "--n", "2", "--k", "5"],
         ["verify", "--check", "griolv", "--n", "1"],
         ["verify", "--check", "griolv", "--n", "2", "--k", "2"],
+        ["verify", "--check", "griolv", "--n", "9"],
         ["verify", "--check", "lemma-adb0", "--n", "4"],
         ["verify", "--check", "b0", "--n", "10", "--k", "1",
          "--trials", "5", "--seed", "0", "--bound", "5"],

@@ -22,14 +22,13 @@ from minordet.identities import (
     build_generic,
     check_cauchy_binet,
     check_chio,
-    check_griolv_k2,
     check_lemma_adb0,
     check_sylvester,
     compound_minor_products,
     compound_minors,
     quotient,
 )
-from minordet.oracle import FuzzPlan, random_instance
+from minordet.oracle import FuzzPlan, check_griolv_k2, random_instance
 from minordet.polyring import Polynomial, exact_div
 
 

@@ -4,8 +4,14 @@ from __future__ import annotations
 
 import pytest
 
-from minordet.exactmat import det_bareiss, evaluate_matrix
-from minordet.identities import THEOREM_CONSTRAINTS, GenericSpec, build_generic, compound_minors
+from minordet.exactmat import det_bareiss, det_laplace, evaluate_matrix
+from minordet.identities import (
+    THEOREM_CONSTRAINTS,
+    GenericSpec,
+    build_generic,
+    compound_minors,
+    forced_divisor,
+)
 from minordet.oracle import (
     DIVISIBILITY_THEOREMS,
     MAX_N_DIVISIBILITY,
@@ -60,21 +66,26 @@ def test_random_instance_applies_constraints():
         a, b = random_instance(plan, 0)
         raw_a, raw_b = random_instance(plan, 0, apply_constraints=False)
         assert b.entry(size, size) == 0
-        if theorem == "ab0":
+        if theorem in ("ab0", "griolv"):
             assert a.entry(size, size) == 0
         if theorem == "adb0":
             for j in range(1, size):
                 assert a.entry(size, j) == 0
             assert a.entry(size, size) == raw_a.entry(size, size)  # corner kept
+        if theorem == "griolv":
+            for t in range(1, size):
+                assert a.entry(t, size) == a.entry(size, t) == b.entry(t, size) == b.entry(size, t) == 1
         # the unconstrained twin shares every unconstrained entry
         for i in range(1, size + 1):
             for j in range(1, size + 1):
-                if (i, j) != (size, size) and not (theorem == "adb0" and i == size):
+                on_border = theorem == "griolv" and size in (i, j)
+                if (i, j) != (size, size) and not (theorem == "adb0" and i == size) and not on_border:
                     assert a.entry(i, j) == raw_a.entry(i, j)
-                if (i, j) != (size, size):
+                if (i, j) != (size, size) and not on_border:
                     assert b.entry(i, j) == raw_b.entry(i, j)
     # both evidence tiers read one table: the fuzzed pair is the symbolic pair
-    # evaluated at the unconstrained draw
+    # evaluated at the unconstrained draw, and the fuzzed divisor is the
+    # symbolic divisor evaluated there
     for theorem in DIVISIBILITY_THEOREMS:
         for n in range(6):
             plan = FuzzPlan(theorem, n, 0, trials=3, seed=n, bound=9)
@@ -87,7 +98,10 @@ def test_random_instance_applies_constraints():
                     for i in range(1, n + 2)
                     for j in range(1, n + 2)
                 }
-                assert random_instance(plan, t) == (evaluate_matrix(ga, point), evaluate_matrix(gb, point))
+                a, b = random_instance(plan, t)
+                assert (a, b) == (evaluate_matrix(ga, point), evaluate_matrix(gb, point))
+                symbolic = forced_divisor(theorem, ga, gb, lambda m: det_laplace(m).evaluate(point))
+                assert symbolic == forced_divisor(theorem, a, b, det_bareiss)
 
 
 def test_fuzz_divisibility_clean_runs():

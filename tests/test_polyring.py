@@ -8,7 +8,9 @@ integers.  exact_div is validated by recomposition.
 
 from __future__ import annotations
 
+import copy
 import math
+import pickle
 import random
 from functools import reduce
 
@@ -234,6 +236,11 @@ def test_only_named_constructors():
         Polynomial(U, {})
     with pytest.raises(TypeError):
         Polynomial(U, {1: 1})
+    with pytest.raises(TypeError):
+        Polynomial()
+    # copying and pickling still rebuild through the internal constructor
+    p = Polynomial.variable(U, "x") + 3
+    assert copy.deepcopy(p) == p and pickle.loads(pickle.dumps(p)) == p
 
 
 def test_universe_validation():
