@@ -16,7 +16,6 @@ from .identities import (
     SylvesterExponents,
     VerificationReport,
     build_generic,
-    check_cauchy_binet,
     check_chio,
     check_lemma_adb0,
     check_sylvester,
@@ -27,6 +26,7 @@ from .identities import (
 from .oracle import (
     FuzzPlan,
     FuzzReport,
+    check_cauchy_binet,
     check_griolv_k2,
     fuzz_divisibility,
     fuzz_sylvester,

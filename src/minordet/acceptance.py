@@ -1,12 +1,15 @@
 """The acceptance suite: one function per criterion, shared by tests and CLI.
 
-Each criterion function returns a CriterionResult with a pass flag and a
-short human-readable detail string.  Criteria are exact (no tolerances);
-the stated runtimes are expectations, not assertions.
+Each criterion is declared once, by `_criterion(number, name)`: its body
+returns (passed, detail), and the declaration times it, wraps the outcome in
+a CriterionResult and lists it in ALL_CRITERIA, the order `run_all` and
+`minordet selftest` follow.  Criteria are exact (no tolerances); the stated
+runtimes are expectations, not assertions.
 """
 
 from __future__ import annotations
 
+import functools
 import time
 from dataclasses import dataclass
 
@@ -14,16 +17,22 @@ from .exactmat import brute_force_det, det_bareiss, det_laplace, evaluate_matrix
 from .identities import (
     GenericSpec,
     build_generic,
-    check_cauchy_binet,
     check_chio,
     check_sylvester,
     compound_minor_products,
     generic_matrix,
     quotient,
 )
-from .oracle import FuzzPlan, check_griolv_k2, fuzz_divisibility, negative_control
+from .oracle import (
+    FuzzPlan,
+    check_cauchy_binet,
+    check_griolv_k2,
+    fuzz_divisibility,
+    negative_control,
+    rand_int_matrix,
+    trial_rng,
+)
 from .polyring import Polynomial, VariableUniverse
-from .rng import rand_int_matrix, trial_rng
 
 
 @dataclass
@@ -43,34 +52,50 @@ class CriterionResult:
             "elapsed_ms": self.elapsed_ms,
         }
 
+    def summary(self) -> str:
+        status = "PASS" if self.passed else "FAIL"
+        return f"criterion {self.number:2d} {self.name:<32} {status}  {self.detail}"
 
-def _result(number, name, t0, passed, detail) -> CriterionResult:
-    ms = round((time.perf_counter() - t0) * 1000.0, 1)
-    return CriterionResult(number, name, passed, detail, ms)
+
+ALL_CRITERIA = []
 
 
-def criterion_1() -> CriterionResult:
+def _criterion(number: int, name: str):
+    """Declare criterion `number`: time the body's (passed, detail) and list it in ALL_CRITERIA."""
+
+    def declare(body):
+        @functools.wraps(body)
+        def criterion() -> CriterionResult:
+            t0 = time.perf_counter()
+            passed, detail = body()
+            ms = round((time.perf_counter() - t0) * 1000.0, 1)
+            return CriterionResult(number, name, passed, detail, ms)
+
+        ALL_CRITERIA.append(criterion)
+        return criterion
+
+    return declare
+
+
+@_criterion(1, "generic monomial count")
+def criterion_1():
     """Generic compound determinant at n=3, k=2: 110268 monomials in 32 variables."""
-    t0 = time.perf_counter()
     a, b, universe = build_generic(GenericSpec(3))
     det_w = det_laplace(compound_minor_products(a, b, 2).matrix)
     count = len(det_w.terms)
-    ok = count == 110268 and universe.nvars == 32
-    return _result(1, "generic monomial count", t0, ok,
-                   f"monomials={count} vars={universe.nvars}")
+    return count == 110268 and universe.nvars == 32, f"monomials={count} vars={universe.nvars}"
 
 
-def criterion_2() -> CriterionResult:
+@_criterion(2, "power identity sweep")
+def criterion_2():
     """Power identity exact for every 1 <= n <= 4, 0 <= k <= n."""
-    t0 = time.perf_counter()
     bad = [
         (n, k)
         for n in range(1, 5)
         for k in range(0, n + 1)
         if not check_sylvester(n, k).passed
     ]
-    return _result(2, "power identity sweep", t0, not bad,
-                   "all 14 cases exact" if not bad else f"failed at {bad}")
+    return not bad, "all 14 cases exact" if not bad else f"failed at {bad}"
 
 
 def _quotient_sweep(mode: str):
@@ -85,28 +110,26 @@ def _quotient_sweep(mode: str):
     return failures, reports
 
 
-def criterion_3() -> CriterionResult:
+@_criterion(3, "b0 quotient sweep")
+def criterion_3():
     """Single-corner mode divides exactly for every 0 <= n <= 3, 0 <= k <= n."""
-    t0 = time.perf_counter()
     failures, _ = _quotient_sweep("b0")
-    return _result(3, "b0 quotient sweep", t0, not failures,
-                   "all 10 cases divisible" if not failures else f"failed at {failures}")
+    return not failures, "all 10 cases divisible" if not failures else f"failed at {failures}"
 
 
-def criterion_4() -> CriterionResult:
+@_criterion(4, "ab0 quotient sweep")
+def criterion_4():
     """Both-corners mode divides, with the stated degrees at n=3, k=2."""
-    t0 = time.perf_counter()
     failures, reports = _quotient_sweep("ab0")
     rep = reports[(3, 2)]
     deg_ok = rep.quotient_stats.degree == 10 and rep.detw_stats.degree == 18
-    ok = not failures and deg_ok
-    return _result(4, "ab0 quotient sweep", t0, ok,
-                   f"quotient degree={rep.quotient_stats.degree} detW degree={rep.detw_stats.degree}")
+    detail = f"quotient degree={rep.quotient_stats.degree} detW degree={rep.detw_stats.degree}"
+    return not failures and deg_ok, detail
 
 
-def criterion_5() -> CriterionResult:
+@_criterion(5, "divisibility fuzzing")
+def criterion_5():
     """Divisibility fuzzing at n in {4,5,6}, all middle k: zero failures."""
-    t0 = time.perf_counter()
     total_failures = 0
     runs = 0
     for theorem in ("b0", "ab0"):
@@ -115,30 +138,26 @@ def criterion_5() -> CriterionResult:
                 rep = fuzz_divisibility(FuzzPlan(theorem, n, k, trials=100, seed=42, bound=50))
                 total_failures += rep.failures
                 runs += 1
-    return _result(5, "divisibility fuzzing", t0, total_failures == 0,
-                   f"{runs} runs x 100 trials, {total_failures} failures")
+    return total_failures == 0, f"{runs} runs x 100 trials, {total_failures} failures"
 
 
-def criterion_6() -> CriterionResult:
+@_criterion(6, "negative control")
+def criterion_6():
     """Negative control at n=3, k=2 must produce at least one failure."""
-    t0 = time.perf_counter()
     rep = negative_control(FuzzPlan("b0", 3, 2, trials=100, seed=7, bound=100))
-    ok = rep.passed
-    return _result(6, "negative control", t0, ok,
-                   f"failures={rep.failures}/100 note={rep.note}")
+    return rep.passed, f"failures={rep.failures}/100 note={rep.note}"
 
 
-def criterion_7() -> CriterionResult:
+@_criterion(7, "condensation identity")
+def criterion_7():
     """Pivotal condensation identity for n in {1,2,3,4}."""
-    t0 = time.perf_counter()
     bad = [n for n in (1, 2, 3, 4) if not check_chio(n).passed]
-    return _result(7, "condensation identity", t0, not bad,
-                   "all 4 sizes exact" if not bad else f"failed at n={bad}")
+    return not bad, "all 4 sizes exact" if not bad else f"failed at n={bad}"
 
 
-def criterion_8() -> CriterionResult:
+@_criterion(8, "minor-of-product expansion")
+def criterion_8():
     """Minor-of-product expansion on 100+ random instances, all valid k, k>p included."""
-    t0 = time.perf_counter()
     configs = [
         (3, 4, 3), (4, 3, 4), (5, 5, 5), (2, 4, 3), (3, 2, 3), (4, 4, 2), (5, 2, 4),
     ]
@@ -153,23 +172,20 @@ def criterion_8() -> CriterionResult:
             rep = check_cauchy_binet(dims, k, trials=trials_each, seed=11, bound=100)
             if not rep.passed:
                 bad.append((dims, k))
-    ok = not bad and empty_sum_hit
-    return _result(8, "minor-of-product expansion", t0, ok,
-                   f"{len(configs) * trials_each} instances, empty-sum cases hit={empty_sum_hit}"
-                   if not bad else f"failed at {bad}")
+    detail = f"{len(configs) * trials_each} instances, empty-sum cases hit={empty_sum_hit}"
+    return not bad and empty_sum_hit, detail if not bad else f"failed at {bad}"
 
 
-def criterion_9() -> CriterionResult:
+@_criterion(9, "borders-one k=2 case")
+def criterion_9():
     """Borders-one corner-zero k=2 case at n in {2,3}: entries and divisibility."""
-    t0 = time.perf_counter()
     bad = [n for n in (2, 3) if not check_griolv_k2(n).passed]
-    return _result(9, "borders-one k=2 case", t0, not bad,
-                   "entries match closed form, quotient exact" if not bad else f"failed at n={bad}")
+    return not bad, "entries match closed form, quotient exact" if not bad else f"failed at n={bad}"
 
 
-def criterion_10() -> CriterionResult:
+@_criterion(10, "determinant oracle agreement")
+def criterion_10():
     """Three determinant algorithms agree; specialization commutes with det."""
-    t0 = time.perf_counter()
     mismatches = 0
     checked = 0
     for t in range(200):
@@ -189,13 +205,12 @@ def criterion_10() -> CriterionResult:
         checked += 1
         if det_sym.evaluate(assignment) != det_bareiss(evaluate_matrix(sym, assignment)):
             mismatches += 1
-    return _result(10, "determinant oracle agreement", t0, mismatches == 0,
-                   f"{checked} comparisons, {mismatches} mismatches")
+    return mismatches == 0, f"{checked} comparisons, {mismatches} mismatches"
 
 
-def criterion_11() -> CriterionResult:
+@_criterion(11, "content computations")
+def criterion_11():
     """Content: gcd over coefficients; generic determinants are primitive."""
-    t0 = time.perf_counter()
     u = VariableUniverse(["x", "y"])
     p = 4 * Polynomial.variable(u, "x") ** 2 + 6 * Polynomial.variable(u, "y") ** 2
     ok = p.content() == 2
@@ -207,29 +222,9 @@ def criterion_11() -> CriterionResult:
         c = det_laplace(generic_matrix(universe, "x", size, {})).content()
         ok = ok and c == 1
         details.append(f"content(det {size}x{size})={c}")
-    return _result(11, "content computations", t0, ok, " ".join(details))
+    return ok, " ".join(details)
 
 
-ALL_CRITERIA = [
-    criterion_1,
-    criterion_2,
-    criterion_3,
-    criterion_4,
-    criterion_5,
-    criterion_6,
-    criterion_7,
-    criterion_8,
-    criterion_9,
-    criterion_10,
-    criterion_11,
-]
-
-
-def run_all(log=None) -> list[CriterionResult]:
+def run_all() -> list[CriterionResult]:
     """Run every criterion to completion; never stops at the first failure."""
-    results = []
-    for fn in ALL_CRITERIA:
-        if log:
-            log(f"running {fn.__name__}")
-        results.append(fn())
-    return results
+    return [criterion() for criterion in ALL_CRITERIA]

@@ -1,10 +1,10 @@
 """Command-line front end: verify, quotient, fuzz, selftest.
 
 Exit codes: 0 when every requested check passes, 1 on a mathematical-check
-failure, 2 on a usage error.  With --json the reports go to stdout as one
-JSON document (an object for a single report, an array otherwise) whose
-bytes are identical across runs for fixed inputs, except the elapsed_ms
-fields.  --verbose writes stage logging to stderr and never touches stdout.
+failure, 2 on a usage error.  --json prints one JSON document on stdout (an
+object for one report or for selftest, an array otherwise) whose bytes are
+identical across runs for fixed inputs, except the elapsed_ms fields.
+--verbose writes stage logging to stderr and never touches stdout.
 """
 
 from __future__ import annotations
@@ -14,15 +14,15 @@ import json
 import sys
 
 from .acceptance import run_all
-from .identities import (
-    SYMBOLIC_N_LIMIT,
+from .identities import SYMBOLIC_N_LIMIT, check_chio, check_lemma_adb0, check_sylvester, quotient
+from .oracle import (
+    FuzzPlan,
     check_cauchy_binet,
-    check_chio,
-    check_lemma_adb0,
-    check_sylvester,
-    quotient,
+    check_griolv_k2,
+    fuzz_divisibility,
+    fuzz_sylvester,
+    negative_control,
 )
-from .oracle import FuzzPlan, check_griolv_k2, fuzz_divisibility, fuzz_sylvester, negative_control
 
 VERIFY_CHECKS = ("sylvester", "chio", "cauchy-binet", "griolv", "lemma-adb0", "b0", "ab0")
 
@@ -130,12 +130,19 @@ def _emit(args, reports: list) -> int:
     passed = all(r.passed for r in reports)
     if args.json:
         payload = [r.to_json_dict() for r in reports]
-        print(json.dumps(payload[0] if len(payload) == 1 else payload, indent=2))
+        if args.verb == "selftest":
+            payload = {"criteria": payload, "pass": passed}
+        elif len(payload) == 1:
+            payload = payload[0]
+        print(json.dumps(payload, indent=2))
     else:
         for r in reports:
             print(r.summary())
         if args.verb == "verify":  # a sweep ends with its overall verdict
             print("all checks passed" if passed else "CHECK FAILURES PRESENT")
+        elif args.verb == "selftest":
+            failed = [r.number for r in reports if not r.passed]
+            print(f"selftest: FAILED criteria {failed}" if failed else "selftest: all criteria passed")
     return 0 if passed else 1
 
 
@@ -161,25 +168,7 @@ def main(argv=None) -> int:
                 rep = fuzz_divisibility(plan)
             return _emit(args, [rep])
 
-        # selftest
-        results = run_all()
-        if args.json:
-            payload = {
-                "criteria": [r.to_json_dict() for r in results],
-                "pass": all(r.passed for r in results),
-            }
-            print(json.dumps(payload, indent=2))
-        else:
-            for r in results:
-                status = "PASS" if r.passed else "FAIL"
-                print(f"criterion {r.number:2d} {r.name:<32} {status}  {r.detail}")
-            failed = [r.number for r in results if not r.passed]
-            print(
-                "selftest: all criteria passed"
-                if not failed
-                else f"selftest: FAILED criteria {failed}"
-            )
-        return 0 if all(r.passed for r in results) else 1
+        return _emit(args, run_all())  # selftest
 
     except (ValueError, ZeroDivisionError) as e:
         print(f"error: {e}", file=sys.stderr)

@@ -136,27 +136,16 @@ def submatrix(a: MatrixExpr, row_sel, col_sel) -> MatrixExpr:
 def matmul(a: MatrixExpr, b: MatrixExpr) -> MatrixExpr:
     if a.cols != b.rows:
         raise ValueError(f"cannot multiply {a.rows}x{a.cols} by {b.rows}x{b.cols}")
-    if (a.universe is None) != (b.universe is None):
-        raise ValueError("cannot multiply integer and polynomial matrices")
+    if a.universe is not None or b.universe is not None:
+        raise ValueError("matmul multiplies integer matrices only")
     n, p, m = a.rows, a.cols, b.cols
     ae, be = a.entries, b.entries
-    out: list[RingEntry] = []
-    if a.universe is None:
-        for i in range(n):
-            base = i * p
-            for j in range(m):
-                out.append(sum(ae[base + t] * be[t * m + j] for t in range(p)))
-        return MatrixExpr(n, m, out)
-    u = a.universe
-    if not u.compatible(b.universe):
-        raise ValueError("entries over different universes")
+    out = []
     for i in range(n):
+        base = i * p
         for j in range(m):
-            acc: dict[int, int] = {}
-            for t in range(p):
-                accumulate_product(acc, ae[i * p + t], be[t * m + j])
-            out.append(Polynomial._from_clean(u, {k: v for k, v in acc.items() if v}))
-    return MatrixExpr(n, m, out, u)
+            out.append(sum(ae[base + t] * be[t * m + j] for t in range(p)))
+    return MatrixExpr(n, m, out)
 
 
 def _require_square(a: MatrixExpr):
@@ -272,10 +261,6 @@ def det_bareiss(a: MatrixExpr) -> int:
         return 1
     c = a.cols
     m = [list(a.entries[r * c : (r + 1) * c]) for r in range(n)]
-    if n == 1:
-        return m[0][0]
-    if n == 2:
-        return m[0][0] * m[1][1] - m[0][1] * m[1][0]
     sign = 1
     prev = 1
     for j in range(n - 1):

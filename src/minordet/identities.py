@@ -15,7 +15,8 @@ THEOREM_CONSTRAINTS, and both evidence tiers read them there:
 and of the fuzzing oracle's integer draws, and `forced_divisor` derives the
 divisor from them.  `symbolic_quotient` certifies the divisibility by exact
 polynomial division for `quotient`, `check_lemma_adb0` and the symbolic half
-of `oracle.check_griolv_k2`.
+of `oracle.check_griolv_k2`.  This module is the symbolic tier only: integer
+draws, and every check made on them, live in `oracle`.
 """
 
 from __future__ import annotations
@@ -25,16 +26,8 @@ import time
 from dataclasses import dataclass, replace
 from itertools import combinations, product
 
-from .exactmat import (
-    MatrixExpr,
-    bordered_minors,
-    det_bareiss,
-    det_laplace,
-    matmul,
-    submatrix,
-)
+from .exactmat import MatrixExpr, bordered_minors, det_laplace, submatrix
 from .polyring import Polynomial, PolyStats, VariableUniverse, exact_div
-from .rng import rand_int_matrix, trial_rng
 
 CONSTRAINT_FLAGS = frozenset(
     {"a_corner_zero", "b_corner_zero", "a_last_row_zero", "borders_one_a", "borders_one_b"}
@@ -310,66 +303,6 @@ def check_chio(n: int) -> VerificationReport:
     return replace(check_sylvester(n, 1), check="chio")
 
 
-def check_cauchy_binet(
-    dims: tuple[int, int, int],
-    k: int,
-    trials: int = 100,
-    seed: int = 0,
-    bound: int = 100,
-) -> VerificationReport:
-    """Minor-of-a-product expansion on random integer matrices.
-
-    dims = (n, p, m): A is n x p, B is p x m.  For every size-k row set P and
-    column set Q, det(sub_P^Q(AB)) must equal the sum over size-k subsets R
-    of the inner index range of det(sub_P^R A) * det(sub_R^Q B); for k > p
-    the sum is empty and the left side must vanish.
-    """
-    t0 = time.perf_counter()
-    n, p, m = dims
-    if min(dims) < 0 or max(dims) > 6:
-        raise ValueError("dimensions must lie in [0, 6]")
-    if k < 0 or k > min(n, m):
-        raise ValueError("need 0 <= k <= min(n, m)")
-    if trials < 1:
-        raise ValueError("trials must be positive")
-    row_sets = tuple(combinations(range(1, n + 1), k))
-    col_sets = tuple(combinations(range(1, m + 1), k))
-    inner_sets = tuple(combinations(range(1, p + 1), k))  # empty when k > p
-    passed = True
-    witness = None
-    for t in range(trials):
-        rng = trial_rng(seed, t)
-        a = rand_int_matrix(rng, n, p, bound)
-        b = rand_int_matrix(rng, p, m, bound)
-        ab = matmul(a, b)
-        for row_set in row_sets:
-            for col_set in col_sets:
-                lhs = det_bareiss(submatrix(ab, row_set, col_set))
-                rhs = sum(
-                    det_bareiss(submatrix(a, row_set, r)) * det_bareiss(submatrix(b, r, col_set))
-                    for r in inner_sets
-                )
-                if lhs != rhs:
-                    passed = False
-                    witness = {
-                        "trial": t,
-                        "a": a.row_list(),
-                        "b": b.row_list(),
-                        "row_set": list(row_set),
-                        "col_set": list(col_set),
-                        "lhs": lhs,
-                        "rhs": rhs,
-                    }
-                    break
-            if not passed:
-                break
-        if not passed:
-            break
-    return VerificationReport(
-        check="cauchy-binet", n=n, k=k, passed=passed, witness=witness, elapsed_ms=_ms(t0)
-    )
-
-
 def quotient(
     mode: str,
     n: int,
@@ -385,8 +318,6 @@ def quotient(
     t0 = time.perf_counter()
     if mode not in ("b0", "ab0"):
         raise ValueError(f"unknown quotient mode: {mode!r}")
-    if k < 0 or k > n:
-        raise ValueError("need 0 <= k <= n")
     if n > SYMBOLIC_N_LIMIT:
         raise ValueError(f"symbolic quotient is bounded at n <= {SYMBOLIC_N_LIMIT}")
     a, b, _ = build_generic(GenericSpec(n, THEOREM_CONSTRAINTS[mode]))
@@ -416,8 +347,6 @@ def check_lemma_adb0(n: int, k: int) -> VerificationReport:
     through the corner times the unbordered minor.
     """
     t0 = time.perf_counter()
-    if k < 0 or k > n:
-        raise ValueError("need 0 <= k <= n")
     if n > SYMBOLIC_N_LIMIT:
         raise ValueError(f"check_lemma_adb0 is symbolic and bounded at n <= {SYMBOLIC_N_LIMIT}")
     a, b, _ = build_generic(GenericSpec(n, THEOREM_CONSTRAINTS["adb0"]))

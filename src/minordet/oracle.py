@@ -8,22 +8,28 @@ pointwise.  The entries each theorem fixes and the divisor it forces come
 from the same rules as the symbolic checks (`forced_entries`,
 `forced_divisor`).  Negative controls run the same pipeline with the
 structural constraints deliberately not applied and must produce failures.
-check_griolv_k2 lives here because its pointwise half is this trial loop.
+check_griolv_k2's pointwise half and check_cauchy_binet run here too.
+
+Every random draw of the package is made here, from one child RNG per trial
+derived from (seed, trial index) through a splitmix64 mix, so trial t of a
+run is reproducible in isolation and independent of the trials before it.
 """
 
 from __future__ import annotations
 
+import random
 import time
 from dataclasses import dataclass, replace
-from itertools import product
+from itertools import combinations, product
 
-from .exactmat import det_bareiss
+from .exactmat import MatrixExpr, det_bareiss, matmul, submatrix
 from .identities import (
     SYMBOLIC_N_LIMIT,
     THEOREM_CONSTRAINTS,
     GenericSpec,
     SylvesterExponents,
     VerificationReport,
+    _ms,
     build_generic,
     compound_minor_products,
     compound_minors,
@@ -31,13 +37,35 @@ from .identities import (
     forced_entries,
     symbolic_quotient,
 )
-from .rng import rand_int_matrix, trial_rng
 
 DIVISIBILITY_THEOREMS = tuple(THEOREM_CONSTRAINTS)
 THEOREMS = DIVISIBILITY_THEOREMS + ("sylv",)
 
 MAX_N_DIVISIBILITY = 8
 MAX_N_SYLVESTER = 7
+
+_M64 = (1 << 64) - 1
+
+
+def _splitmix64(x: int) -> int:
+    z = (x + 0x9E3779B97F4A7C15) & _M64
+    z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _M64
+    z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _M64
+    return z ^ (z >> 31)
+
+
+def trial_seed(seed: int, trial: int) -> int:
+    return _splitmix64((_splitmix64(seed & _M64) + trial) & _M64)
+
+
+def trial_rng(seed: int, trial: int) -> random.Random:
+    return random.Random(trial_seed(seed, trial))
+
+
+def rand_int_matrix(rng: random.Random, rows: int, cols: int, bound: int) -> MatrixExpr:
+    """Uniform entries in [-bound, bound], drawn row-major."""
+    ent = [rng.randint(-bound, bound) for _ in range(rows * cols)]
+    return MatrixExpr(rows, cols, ent)
 
 
 @dataclass(frozen=True)
@@ -233,7 +261,61 @@ def check_griolv_k2(
             first = fuzz_divisibility(plan).first_failure
             if first is not None:
                 witness = {"problem": "divisibility", "evidence": "pointwise", "trial": first["trial"]}
-    elapsed_ms = round((time.perf_counter() - t0) * 1000.0, 3)
     return VerificationReport(
-        check="griolv", n=n, k=2, passed=witness is None, witness=witness, elapsed_ms=elapsed_ms
+        check="griolv", n=n, k=2, passed=witness is None, witness=witness, elapsed_ms=_ms(t0)
+    )
+
+
+def check_cauchy_binet(
+    dims: tuple[int, int, int],
+    k: int,
+    trials: int = 100,
+    seed: int = 0,
+    bound: int = 100,
+) -> VerificationReport:
+    """Minor-of-a-product expansion on random integer matrices.
+
+    dims = (n, p, m): A is n x p, B is p x m.  For every size-k row set P and
+    column set Q, det(sub_P^Q(AB)) must equal the sum over size-k subsets R
+    of the inner index range of det(sub_P^R A) * det(sub_R^Q B); for k > p
+    the sum is empty and the left side must vanish.
+    """
+    t0 = time.perf_counter()
+    n, p, m = dims
+    if min(dims) < 0 or max(dims) > 6:
+        raise ValueError("dimensions must lie in [0, 6]")
+    if k < 0 or k > min(n, m):
+        raise ValueError("need 0 <= k <= min(n, m)")
+    if trials < 1:
+        raise ValueError("trials must be positive")
+    row_sets = tuple(combinations(range(1, n + 1), k))
+    col_sets = tuple(combinations(range(1, m + 1), k))
+    inner_sets = tuple(combinations(range(1, p + 1), k))  # empty when k > p
+
+    def failure_at(t: int) -> dict | None:
+        rng = trial_rng(seed, t)
+        a = rand_int_matrix(rng, n, p, bound)
+        b = rand_int_matrix(rng, p, m, bound)
+        ab = matmul(a, b)
+        for row_set, col_set in product(row_sets, col_sets):
+            lhs = det_bareiss(submatrix(ab, row_set, col_set))
+            rhs = sum(
+                det_bareiss(submatrix(a, row_set, r)) * det_bareiss(submatrix(b, r, col_set))
+                for r in inner_sets
+            )
+            if lhs != rhs:
+                return {
+                    "trial": t,
+                    "a": a.row_list(),
+                    "b": b.row_list(),
+                    "row_set": list(row_set),
+                    "col_set": list(col_set),
+                    "lhs": lhs,
+                    "rhs": rhs,
+                }
+        return None
+
+    witness = next(filter(None, map(failure_at, range(trials))), None)
+    return VerificationReport(
+        check="cauchy-binet", n=n, k=k, passed=witness is None, witness=witness, elapsed_ms=_ms(t0)
     )

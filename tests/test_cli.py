@@ -10,6 +10,7 @@ import json
 
 import pytest
 
+from minordet.acceptance import CriterionResult
 from minordet.cli import main
 
 
@@ -232,3 +233,38 @@ def test_selftest_runs_all_criteria(capsys):
     assert payload["pass"] is True
     assert [c["criterion"] for c in payload["criteria"]] == list(range(1, 12))
     assert all(c["pass"] for c in payload["criteria"])
+    assert [(c["criterion"], c["name"], c["detail"]) for c in payload["criteria"]] == [
+        (1, "generic monomial count", "monomials=110268 vars=32"),
+        (2, "power identity sweep", "all 14 cases exact"),
+        (3, "b0 quotient sweep", "all 10 cases divisible"),
+        (4, "ab0 quotient sweep", "quotient degree=10 detW degree=18"),
+        (5, "divisibility fuzzing", "24 runs x 100 trials, 0 failures"),
+        (6, "negative control", "failures=99/100 note=None"),
+        (7, "condensation identity", "all 4 sizes exact"),
+        (8, "minor-of-product expansion", "105 instances, empty-sum cases hit=True"),
+        (9, "borders-one k=2 case", "entries match closed form, quotient exact"),
+        (10, "determinant oracle agreement", "250 comparisons, 0 mismatches"),
+        (11, "content computations",
+         "content(4x^2+6y^2)=2 content(det 2x2)=1 content(det 3x3)=1 content(det 4x4)=1"),
+    ]
+
+
+def test_selftest_failure_exits_1(capsys, monkeypatch):
+    results = [
+        CriterionResult(1, "first", True, "fine", 0.5),
+        CriterionResult(2, "second", False, "broken", 0.5),
+    ]
+    monkeypatch.setattr("minordet.cli.run_all", lambda: results)
+    rc = main(["selftest"])
+    assert rc == 1
+    assert capsys.readouterr().out.splitlines() == [
+        "criterion  1 first                            PASS  fine",
+        "criterion  2 second                           FAIL  broken",
+        "selftest: FAILED criteria [2]",
+    ]
+    rc = main(["selftest", "--json"])
+    assert rc == 1
+    assert json.loads(capsys.readouterr().out) == {
+        "criteria": [r.to_json_dict() for r in results],
+        "pass": False,
+    }

@@ -20,7 +20,6 @@ from minordet.identities import (
     GenericSpec,
     SylvesterExponents,
     build_generic,
-    check_cauchy_binet,
     check_chio,
     check_lemma_adb0,
     check_sylvester,
@@ -28,7 +27,7 @@ from minordet.identities import (
     compound_minors,
     quotient,
 )
-from minordet.oracle import FuzzPlan, check_griolv_k2, random_instance
+from minordet.oracle import FuzzPlan, check_cauchy_binet, check_griolv_k2, random_instance
 from minordet.polyring import Polynomial, exact_div
 
 
