@@ -159,8 +159,6 @@ def main(argv=None) -> int:
         if args.verb == "fuzz":
             plan = FuzzPlan(args.theorem, args.n, args.k, args.trials, args.seed, args.bound)
             if args.negative_control:
-                if args.theorem == "sylv":
-                    raise UsageError("--negative-control applies to divisibility theorems only")
                 rep = negative_control(plan)
             elif args.theorem == "sylv":
                 rep = fuzz_sylvester(plan)

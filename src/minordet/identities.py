@@ -259,6 +259,12 @@ def forced_divisor(theorem: str, a, b, det):
     return det(a)
 
 
+def power_identity(a: MatrixExpr, k: int, exps: SylvesterExponents, det):
+    """(det of compound_minors(a, k), corner^p * det(a)^q); `det` is taken as in forced_divisor."""
+    corner = a.entry(a.rows, a.cols)
+    return det(compound_minors(a, k).matrix), corner**exps.p * det(a) ** exps.q
+
+
 def symbolic_quotient(theorem: str, a: MatrixExpr, b: MatrixExpr, k: int):
     """(det W, forced divisor, det W / divisor or None) for a symbolic pair.
 
@@ -280,21 +286,13 @@ def check_sylvester(n: int, k: int) -> VerificationReport:
     t0 = time.perf_counter()
     exps = SylvesterExponents.from_params(n, k)
     a, _ = _single_generic(n)
-    compound = compound_minors(a, k)
-    lhs = det_laplace(compound.matrix)
-    corner = a.entry(n + 1, n + 1)
-    rhs = corner**exps.p * det_laplace(a) ** exps.q
+    lhs, rhs = power_identity(a, k, exps, det_laplace)
     passed = lhs == rhs
     witness = None
     if not passed:
         witness = {"lhs_stats": lhs.stats().to_json_dict(), "rhs_stats": rhs.stats().to_json_dict()}
     return VerificationReport(
-        check="sylvester",
-        n=n,
-        k=k,
-        passed=passed,
-        witness=witness,
-        elapsed_ms=_ms(t0),
+        check="sylvester", n=n, k=k, passed=passed, witness=witness, elapsed_ms=_ms(t0)
     )
 
 

@@ -8,7 +8,8 @@ pointwise.  The entries each theorem fixes and the divisor it forces come
 from the same rules as the symbolic checks (`forced_entries`,
 `forced_divisor`).  Negative controls run the same pipeline with the
 structural constraints deliberately not applied and must produce failures.
-check_griolv_k2's pointwise half and check_cauchy_binet run here too.
+check_griolv_k2's pointwise half runs here too, and so does check_cauchy_binet,
+which tests the compound identity C_k(AB) = C_k(A) C_k(B).
 
 Every random draw of the package is made here, from one child RNG per trial
 derived from (seed, trial index) through a splitmix64 mix, so trial t of a
@@ -32,9 +33,9 @@ from .identities import (
     _ms,
     build_generic,
     compound_minor_products,
-    compound_minors,
     forced_divisor,
     forced_entries,
+    power_identity,
     symbolic_quotient,
 )
 
@@ -169,6 +170,9 @@ def _tally(plan: FuzzPlan, failure_at) -> FuzzReport:
 
 
 def _run_divisibility(plan: FuzzPlan, apply_constraints: bool) -> FuzzReport:
+    if plan.theorem not in DIVISIBILITY_THEOREMS:
+        raise ValueError(f"divisibility fuzzing cannot run theorem {plan.theorem!r}")
+
     def failure_at(t: int) -> dict | None:
         a, b = random_instance(plan, t, apply_constraints)
         w = det_bareiss(compound_minor_products(a, b, plan.k).matrix)
@@ -183,8 +187,6 @@ def _run_divisibility(plan: FuzzPlan, apply_constraints: bool) -> FuzzReport:
 
 def fuzz_divisibility(plan: FuzzPlan) -> FuzzReport:
     """Divisibility of the compound determinant at random integer points."""
-    if plan.theorem not in DIVISIBILITY_THEOREMS:
-        raise ValueError(f"fuzz_divisibility cannot run theorem {plan.theorem!r}")
     return _run_divisibility(plan, apply_constraints=True)
 
 
@@ -195,8 +197,6 @@ def negative_control(plan: FuzzPlan) -> FuzzReport:
     so divisibility holds regardless); otherwise a run with zero failures
     escalates the bound tenfold once, and a still-clean run is an anomaly.
     """
-    if plan.theorem not in DIVISIBILITY_THEOREMS:
-        raise ValueError(f"negative_control cannot run theorem {plan.theorem!r}")
     report = _run_divisibility(plan, apply_constraints=False)
     if plan.n == 0 or plan.k == plan.n:
         report.note = "vacuous"
@@ -211,15 +211,11 @@ def fuzz_sylvester(plan: FuzzPlan) -> FuzzReport:
     """Power identity for the single-matrix compound at random integer points."""
     if plan.theorem != "sylv":
         raise ValueError("fuzz_sylvester needs theorem 'sylv'")
-    if plan.n < 1:
-        raise ValueError("fuzz_sylvester needs n >= 1")
     exps = SylvesterExponents.from_params(plan.n, plan.k)
 
     def failure_at(t: int) -> dict | None:
         a, _ = random_instance(plan, t)
-        lhs = det_bareiss(compound_minors(a, plan.k).matrix)
-        corner = a.entry(plan.n + 1, plan.n + 1)
-        rhs = corner**exps.p * det_bareiss(a) ** exps.q
+        lhs, rhs = power_identity(a, plan.k, exps, det_bareiss)
         if lhs == rhs:
             return None
         return {"trial": t, "a": a.row_list(), "lhs": lhs, "rhs": rhs}
@@ -247,9 +243,8 @@ def check_griolv_k2(
     witness = None
     pairs = product(compound.family, repeat=2)  # row-major, like the entries
     for ((i, j), (kk, ll)), entry in zip(pairs, compound.matrix.entries):
-        expected_a = a.entry(j, kk) + a.entry(i, ll) - a.entry(i, kk) - a.entry(j, ll)
-        expected_b = b.entry(j, kk) + b.entry(i, ll) - b.entry(i, kk) - b.entry(j, ll)
-        if entry != expected_a * expected_b:
+        cross = [m.entry(j, kk) + m.entry(i, ll) - m.entry(i, kk) - m.entry(j, ll) for m in (a, b)]
+        if entry != cross[0] * cross[1]:
             witness = {"row_set": [i, j], "col_set": [kk, ll], "problem": "entry"}
             break
     if witness is None:
@@ -266,6 +261,14 @@ def check_griolv_k2(
     )
 
 
+def _compound(m: MatrixExpr, k: int) -> MatrixExpr:
+    """C_k(m): every k x k minor, row-major over (row k-subset, column k-subset) pairs."""
+    row_sets = tuple(combinations(range(1, m.rows + 1), k))
+    col_sets = tuple(combinations(range(1, m.cols + 1), k))
+    minors = [det_bareiss(submatrix(m, r, c)) for r, c in product(row_sets, col_sets)]
+    return MatrixExpr(len(row_sets), len(col_sets), minors)
+
+
 def check_cauchy_binet(
     dims: tuple[int, int, int],
     k: int,
@@ -273,12 +276,12 @@ def check_cauchy_binet(
     seed: int = 0,
     bound: int = 100,
 ) -> VerificationReport:
-    """Minor-of-a-product expansion on random integer matrices.
+    """The compound identity C_k(AB) = C_k(A) C_k(B) on random integer matrices.
 
-    dims = (n, p, m): A is n x p, B is p x m.  For every size-k row set P and
-    column set Q, det(sub_P^Q(AB)) must equal the sum over size-k subsets R
-    of the inner index range of det(sub_P^R A) * det(sub_R^Q B); for k > p
-    the sum is empty and the left side must vanish.
+    dims = (n, p, m): A is n x p, B is p x m.  C_k(M) holds every k x k minor
+    of M, so entry (P, Q) of C_k(A) C_k(B) is the sum over k-subsets R of the
+    inner index range of det(sub_P^R A) * det(sub_R^Q B); for k > p, C_k(A)
+    has no columns and every k-minor of AB must vanish.
     """
     t0 = time.perf_counter()
     n, p, m = dims
@@ -288,21 +291,17 @@ def check_cauchy_binet(
         raise ValueError("need 0 <= k <= min(n, m)")
     if trials < 1:
         raise ValueError("trials must be positive")
-    row_sets = tuple(combinations(range(1, n + 1), k))
-    col_sets = tuple(combinations(range(1, m + 1), k))
-    inner_sets = tuple(combinations(range(1, p + 1), k))  # empty when k > p
+    if bound < 1:
+        raise ValueError("bound must be positive")
+    pairs = tuple(product(combinations(range(1, n + 1), k), combinations(range(1, m + 1), k)))
 
     def failure_at(t: int) -> dict | None:
         rng = trial_rng(seed, t)
         a = rand_int_matrix(rng, n, p, bound)
         b = rand_int_matrix(rng, p, m, bound)
-        ab = matmul(a, b)
-        for row_set, col_set in product(row_sets, col_sets):
-            lhs = det_bareiss(submatrix(ab, row_set, col_set))
-            rhs = sum(
-                det_bareiss(submatrix(a, row_set, r)) * det_bareiss(submatrix(b, r, col_set))
-                for r in inner_sets
-            )
+        left = _compound(matmul(a, b), k).entries
+        right = matmul(_compound(a, k), _compound(b, k)).entries
+        for (row_set, col_set), lhs, rhs in zip(pairs, left, right):
             if lhs != rhs:
                 return {
                     "trial": t,

@@ -314,26 +314,21 @@ class Polynomial:
 def accumulate_product(acc: dict[int, int], p: Polynomial, q: Polynomial, negate: bool = False) -> None:
     """acc += p*q (or -= with negate), as raw term maps; zeros are kept.
 
-    Shared hot loop for multiplication and determinant expansion.  The guard
-    bits are checked only when some operand exponent reaches 64, which no
-    realistic input here does.
+    Shared hot loop for multiplication and determinant expansion.  Only when
+    some operand exponent reaches 64, which no realistic input here does,
+    are the per-variable maximum exponents of p and q summed: some product
+    overflows a byte exactly when one of those sums exceeds EXPONENT_LIMIT,
+    and then OverflowError is raised before acc changes.
     """
     a, b = (p.terms, q.terms) if len(p.terms) <= len(q.terms) else (q.terms, p.terms)
     if not a or not b:
         return
     u = p.universe
-    get = acc.get
     if (p._monomial_or | q._monomial_or) & u._safe_mask:
-        guard = u._guard_mask
-        for m1, c1 in a.items():
-            if negate:
-                c1 = -c1
-            for m2, c2 in b.items():
-                m = m1 + m2
-                if m & guard:
-                    raise OverflowError("monomial exponent exceeds the packing limit")
-                acc[m] = get(m, 0) + c1 * c2
-        return
+        tops = (map(max, zip(*(m.to_bytes(u.nvars, "big") for m in t))) for t in (a, b))
+        if any(x + y > EXPONENT_LIMIT for x, y in zip(*tops)):
+            raise OverflowError("monomial exponent exceeds the packing limit")
+    get = acc.get
     for m1, c1 in a.items():
         if negate:
             c1 = -c1

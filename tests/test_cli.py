@@ -109,6 +109,8 @@ def test_verify_usage_errors(capsys):
         ["verify", "--check", "lemma-adb0", "--n", "4"],
         ["verify", "--check", "b0", "--n", "10", "--k", "1",
          "--trials", "5", "--seed", "0", "--bound", "5"],
+        ["verify", "--check", "cauchy-binet", "--n", "3", "--k", "2", "--bound", "0"],
+        ["verify", "--check", "cauchy-binet", "--n", "3", "--k", "2", "--bound", "-2"],
     ]
     for argv in cases:
         rc = main(argv)

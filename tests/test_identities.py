@@ -13,7 +13,7 @@ from itertools import combinations
 
 import pytest
 
-from minordet.exactmat import MatrixExpr, brute_force_det, det_bareiss, det_laplace, submatrix
+from minordet.exactmat import MatrixExpr, brute_force_det, det_bareiss, det_laplace, matmul, submatrix
 from minordet.identities import (
     CONSTRAINT_FLAGS,
     SYMBOLIC_N_LIMIT,
@@ -27,7 +27,13 @@ from minordet.identities import (
     compound_minors,
     quotient,
 )
-from minordet.oracle import FuzzPlan, check_cauchy_binet, check_griolv_k2, random_instance
+from minordet.oracle import (
+    FuzzPlan,
+    check_cauchy_binet,
+    check_griolv_k2,
+    rand_int_matrix,
+    random_instance,
+)
 from minordet.polyring import Polynomial, exact_div
 
 
@@ -213,6 +219,38 @@ def test_cauchy_binet_validation():
         check_cauchy_binet((7, 3, 3), 1)
     with pytest.raises(ValueError):
         check_cauchy_binet((3, 3, 3), 1, trials=0)
+    for bound in (0, -2):  # bound 0 draws only zero matrices and proves nothing
+        with pytest.raises(ValueError, match="bound must be positive"):
+            check_cauchy_binet((3, 3, 3), 2, bound=bound)
+
+
+def test_cauchy_binet_reports_a_wrong_product(monkeypatch):
+    # A·B off by one in entry (1,1); products of anything but the drawn A and B stay exact
+    drawn = []
+
+    def draw(*args):
+        drawn.append(rand_int_matrix(*args))
+        return drawn[-1]
+
+    def faulty_matmul(a, b):
+        out = matmul(a, b)
+        if any(a is m for m in drawn) and any(b is m for m in drawn):
+            out.entries[0] += 1
+        return out
+
+    monkeypatch.setattr("minordet.oracle.rand_int_matrix", draw)
+    monkeypatch.setattr("minordet.oracle.matmul", faulty_matmul)
+    rep = check_cauchy_binet((3, 3, 3), 2, trials=3, seed=0, bound=9)
+    assert not rep.passed
+    assert rep.witness == {
+        "trial": 0,
+        "a": [[-1, 5, 5], [-6, 1, 3], [-4, -3, -1]],
+        "b": [[1, 2, -7], [-5, 0, 5], [-2, 0, -1]],
+        "row_set": [1, 2],
+        "col_set": [1, 2],
+        "lhs": 386,
+        "rhs": 398,
+    }
 
 
 def test_griolv_entries_and_divisibility():

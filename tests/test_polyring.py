@@ -22,6 +22,7 @@ from minordet.polyring import (
     PolyStats,
     UniverseMismatch,
     VariableUniverse,
+    accumulate_product,
     exact_div,
 )
 
@@ -267,6 +268,20 @@ def test_exponent_overflow_guard():
     big = X ** EXPONENT_LIMIT
     with pytest.raises(OverflowError):
         big * X
+    # the edge: exponent 127 fits, 128 does not
+    assert (X**64 * X**63).stats().degree == EXPONENT_LIMIT
+    with pytest.raises(OverflowError):
+        X**64 * X**64
+    # exponents add per variable: x^120 y^110 fits, while y^30 * y^100 does not
+    assert ((X**100 * Y**10) * (X**20 * Y**100)).stats().degree == 230
+    with pytest.raises(OverflowError):
+        (X**100 + Y**30) * (X**20 + Y**100)
+    # an overflowing product leaves the accumulator as it was
+    acc = dict((3 * Y).terms)
+    before = dict(acc)
+    with pytest.raises(OverflowError):
+        accumulate_product(acc, X**64, Polynomial.one(U) + X**64)
+    assert acc == before
     with pytest.raises(ValueError):
         Polynomial.from_terms(U, [(1, {"x": EXPONENT_LIMIT + 1})])
 
