@@ -16,6 +16,7 @@ from dataclasses import dataclass
 from .exactmat import brute_force_det, det_bareiss, det_laplace, evaluate_matrix
 from .identities import (
     GenericSpec,
+    _ms,
     build_generic,
     check_chio,
     check_sylvester,
@@ -68,8 +69,7 @@ def _criterion(number: int, name: str):
         def criterion() -> CriterionResult:
             t0 = time.perf_counter()
             passed, detail = body()
-            ms = round((time.perf_counter() - t0) * 1000.0, 1)
-            return CriterionResult(number, name, passed, detail, ms)
+            return CriterionResult(number, name, passed, detail, _ms(t0))
 
         ALL_CRITERIA.append(criterion)
         return criterion

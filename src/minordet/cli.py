@@ -1,9 +1,10 @@
 """Command-line front end: verify, quotient, fuzz, selftest.
 
 Exit codes: 0 when every requested check passes, 1 on a mathematical-check
-failure, 2 on a usage error.  --json prints one JSON document on stdout (an
-object for one report or for selftest, an array otherwise) whose bytes are
-identical across runs for fixed inputs, except the elapsed_ms fields.
+failure, 2 on a usage error or a request that ran out of memory.  --json
+prints one JSON document on stdout (an object for one report or for
+selftest, an array otherwise) whose bytes are identical across runs for
+fixed inputs, except the elapsed_ms fields.
 --verbose writes stage logging to stderr and never touches stdout.
 """
 
@@ -168,8 +169,8 @@ def main(argv=None) -> int:
 
         return _emit(args, run_all())  # selftest
 
-    except (ValueError, ZeroDivisionError) as e:
-        print(f"error: {e}", file=sys.stderr)
+    except (ValueError, ZeroDivisionError, MemoryError) as e:
+        print(f"error: {str(e) or type(e).__name__}", file=sys.stderr)
         return 2
 
 

@@ -13,12 +13,16 @@ Three determinant routines cross-check one another:
                   builds every bordered minor of a compound,
   * det_bareiss   fraction-free elimination, integer matrices only,
   * brute_force_det  signed permutation sum, capped at size 8, oracle role.
+
+A fourth, det_mod, gives det(a) mod m for an integer matrix by elimination
+mod m, so a divisibility test by m never forms the full determinant.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache, partial
 from itertools import combinations, permutations
+from math import gcd
 from typing import Mapping, Sequence, Union
 
 from .polyring import Polynomial, VariableUniverse, accumulate_product
@@ -282,6 +286,63 @@ def det_bareiss(a: MatrixExpr) -> int:
             row_i[j] = 0
         prev = pivot
     return sign * m[n - 1][n - 1]
+
+
+def det_mod(a: MatrixExpr, m: int) -> int:
+    """det(a) mod m in [0, m) for an integer matrix and any modulus m >= 1.
+
+    Elimination mod m by row operations of determinant +-1 only, so a
+    composite m needs no inverse that may not exist.  Per column: a pivot
+    that is a unit mod m clears the column with its inverse, one row update
+    per entry; with no unit in the column, an entry the pivot p divides takes
+    one row update, and any other entry e one 2 x 2 step (s, t; -e/g, p/g),
+    with s p + t e = g = gcd(p, e), which leaves g as the pivot.  The
+    eliminated column is then dropped from every row.
+    """
+    _require_square(a)
+    if a.universe is not None:
+        raise TypeError("det_mod handles integer matrices only")
+    if m < 1:
+        raise ValueError("det_mod needs a modulus m >= 1")
+    c = a.cols
+    rows = [[e % m for e in a.entries[r * c : (r + 1) * c]] for r in range(a.rows)]
+    det = 1 % m
+    while rows:
+        column = [row[0] for row in rows]
+        unit = next((i for i, e in enumerate(column) if gcd(e, m) == 1), None)
+        pick = unit if unit is not None else next((i for i, e in enumerate(column) if e), None)
+        if pick is None:
+            return 0
+        if pick:
+            rows[0], rows[pick] = rows[pick], rows[0]
+            det = -det
+        pivot = rows[0]
+        inverse = pow(pivot[0], -1, m) if unit is not None else None
+        remaining = []
+        for row in rows[1:]:
+            e, p = row[0], pivot[0]
+            if inverse is not None or e % p == 0:
+                q = e * inverse % m if inverse is not None else e // p
+                remaining.append([(x - q * y) % m for x, y in zip(row[1:], pivot[1:])])
+            else:
+                g, s, t = _xgcd(p, e)
+                u, v = e // g, p // g
+                remaining.append([(v * x - u * y) % m for x, y in zip(row[1:], pivot[1:])])
+                pivot = [(s * y + t * x) % m for x, y in zip(row, pivot)]
+        det = det * pivot[0] % m
+        rows = remaining
+    return det
+
+
+def _xgcd(a: int, b: int) -> tuple[int, int, int]:
+    """(g, s, t) with s a + t b = g = gcd(a, b), for a, b >= 0."""
+    s0, s1, t0, t1 = 1, 0, 0, 1
+    while b:
+        q, r = divmod(a, b)
+        a, b = b, r
+        s0, s1 = s1, s0 - q * s1
+        t0, t1 = t1, t0 - q * t1
+    return a, s0, t0
 
 
 def _parity(perm: Sequence[int]) -> int:

@@ -270,3 +270,18 @@ def test_selftest_failure_exits_1(capsys, monkeypatch):
         "criteria": [r.to_json_dict() for r in results],
         "pass": False,
     }
+
+
+def test_out_of_memory_exits_2(capsys, monkeypatch):
+    def exhausted(plan):
+        raise MemoryError
+
+    monkeypatch.setattr("minordet.cli.fuzz_divisibility", exhausted)
+    rc = main([
+        "fuzz", "--theorem", "b0", "--n", "2", "--k", "1",
+        "--trials", "1", "--seed", "0", "--bound", "5",
+    ])
+    captured = capsys.readouterr()
+    assert rc == 2
+    assert captured.out == ""
+    assert captured.err == "error: MemoryError\n"

@@ -19,6 +19,7 @@ from minordet.exactmat import (
     brute_force_det,
     det_bareiss,
     det_laplace,
+    det_mod,
     evaluate_matrix,
     matmul,
     submatrix,
@@ -182,6 +183,44 @@ def test_det_bareiss_pivoting_paths():
     dup = MatrixExpr.from_rows([[1, 2, 3], [1, 2, 3], [4, 5, 6]])
     assert det_bareiss(dup) == 0
     assert det_laplace(dup) == 0
+
+
+def test_det_mod_matches_bareiss_remainder():
+    rng = random.Random(208)
+    for draw in range(800):
+        n = rng.randint(0, 8)
+        a = _rand_int_matrix(rng, n, n, bound=(1, 2, 5, 50)[draw % 4])
+        det = det_bareiss(a)
+        moduli = [
+            1, 2, 4, 6, 12, 36,
+            2 ** rng.randint(1, 40),
+            6 ** rng.randint(1, 15),
+            abs(det) or 1,
+            rng.randint(1, 10**6),
+            rng.randrange(1, 2**100),
+        ]
+        for m in moduli:
+            assert det_mod(a, m) == det % m, (a.row_list(), m)
+
+
+def test_det_mod_without_a_unit_pivot():
+    # no entry of the first column is a unit mod these m; 4 does not divide 6 and
+    # gcd(4, 6) = 2 does not divide 9, so the column takes two extended-gcd steps
+    a = MatrixExpr.from_rows([[4, 1, 2], [6, 5, 3], [9, 7, 11]])
+    for m in (12, 36, 2**10 * 3**5):
+        assert det_mod(a, m) == det_bareiss(a) % m
+    zero_column = MatrixExpr.from_rows([[0, 1], [0, 2]])
+    assert det_mod(zero_column, 12) == 0
+    # the 0 x 0 determinant is 1, which is 0 mod 1
+    assert det_mod(MatrixExpr(0, 0, []), 1) == 0
+    assert det_mod(MatrixExpr(0, 0, []), 5) == 1
+    with pytest.raises(ValueError):
+        det_mod(MatrixExpr.identity(2), 0)
+    with pytest.raises(ValueError):
+        det_mod(MatrixExpr(2, 3, [0] * 6), 5)
+    g, _ = _generic(2)
+    with pytest.raises(TypeError):
+        det_mod(g, 5)
 
 
 def test_det_bareiss_rejects_polynomials():

@@ -9,6 +9,7 @@ from minordet.identities import (
     THEOREM_CONSTRAINTS,
     GenericSpec,
     build_generic,
+    compound_minor_products,
     compound_minors,
     forced_divisor,
 )
@@ -16,6 +17,7 @@ from minordet.oracle import (
     DIVISIBILITY_THEOREMS,
     MAX_N_DIVISIBILITY,
     MAX_N_SYLVESTER,
+    MOD_DET_MIN_ROWS,
     THEOREMS,
     FuzzPlan,
     fuzz_divisibility,
@@ -167,6 +169,38 @@ def test_negative_control_escalation_paths():
     anom = negative_control(FuzzPlan("b0", 1, 0, trials=1, seed=0, bound=1))
     assert anom.note == "anomaly"
     assert anom.failures == 0
+
+
+def _recomputed(plan, apply_constraints):
+    """(passes, failures, first_failure) from full Bareiss determinants and w % d."""
+    passes, first = 0, None
+    for t in range(plan.trials):
+        a, b = random_instance(plan, t, apply_constraints)
+        w = det_bareiss(compound_minor_products(a, b, plan.k).matrix)
+        d = forced_divisor(plan.theorem, a, b, det_bareiss)
+        if (w == 0) if d == 0 else (w % d == 0):
+            passes += 1
+        elif first is None:
+            first = {"trial": t, "a": a.row_list(), "b": b.row_list(), "det_w": w, "divisor": d}
+    return passes, plan.trials - passes, first
+
+
+def test_verdicts_do_not_change_across_the_modular_rule():
+    # compounds of 10 rows take full Bareiss, of 20 and 21 rows det W mod |d|;
+    # adb0 at bound 1 has trials with divisor 0 and a control with one failure in six
+    plans = [
+        (FuzzPlan("b0", 5, 2, trials=6, seed=21, bound=50), 10),
+        (FuzzPlan("ab0", 6, 3, trials=4, seed=22, bound=50), 20),
+        (FuzzPlan("adb0", 6, 3, trials=6, seed=23, bound=1), 20),
+        (FuzzPlan("b0", 7, 5, trials=3, seed=24, bound=50), 21),
+    ]
+    assert 10 < MOD_DET_MIN_ROWS <= 20
+    for plan, rows in plans:
+        a, b = random_instance(plan, 0)
+        assert compound_minor_products(a, b, plan.k).matrix.rows == rows
+        for run, constrained in ((fuzz_divisibility, True), (negative_control, False)):
+            rep = run(plan)
+            assert (rep.passes, rep.failures, rep.first_failure) == _recomputed(rep.plan, constrained)
 
 
 def test_report_json_shape():
