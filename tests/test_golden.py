@@ -36,6 +36,9 @@ RUNS = [
     "verify --check b0 --n 4 --k 2 --trials 20 --seed 2 --bound 20",
     "quotient --mode ab0 --n 0 --k 0",
     "fuzz --theorem b0 --n 1 --k 0 --trials 1 --seed 0 --bound 1 --negative-control",
+    "verify --check sylvester --n 3",
+    "verify --check chio --n 4",
+    "verify --check cauchy-binet --n 3 --trials 20 --seed 1 --bound 20",
 ]
 
 
