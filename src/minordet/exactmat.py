@@ -111,9 +111,6 @@ class MatrixExpr:
 
     __hash__ = None
 
-    def __matmul__(self, other):
-        return matmul(self, other)
-
     def __repr__(self):
         kind = "int" if self.universe is None else "poly"
         return f"<MatrixExpr {self.rows}x{self.cols} {kind}>"

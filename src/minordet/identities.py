@@ -75,8 +75,6 @@ class SylvesterExponents:
             raise ValueError(f"need 1 <= n and 0 <= k <= n, got n={n} k={k}")
         p = math.comb(n - 1, k)
         q = math.comb(n - 1, k - 1) if k >= 1 else 0
-        if p + q != math.comb(n, k):  # Pascal sanity
-            raise AssertionError("exponent pair violates the Pascal relation")
         return cls(p, q)
 
 
@@ -86,12 +84,6 @@ class CompoundMatrix:
 
     family: tuple[tuple[int, ...], ...]
     matrix: MatrixExpr
-
-    def entry(self, row_subset, col_subset):
-        """The entry at two k-subsets; ValueError if either is not in the family."""
-        i = self.family.index(tuple(row_subset))
-        j = self.family.index(tuple(col_subset))
-        return self.matrix.entry(i + 1, j + 1)
 
 
 @dataclass
@@ -106,11 +98,8 @@ class VerificationReport:
     elapsed_ms: float = 0.0
 
     def to_json_dict(self) -> dict:
-        d: dict = {"check": self.check, "n": self.n, "k": self.k, "pass": self.passed}
-        if self.witness is not None:
-            d["witness"] = self.witness
-        d["elapsed_ms"] = self.elapsed_ms
-        return d
+        head = {"check": self.check, "n": self.n, "k": self.k, "pass": self.passed}
+        return _omit_none({**head, "witness": self.witness, "elapsed_ms": self.elapsed_ms})
 
     def summary(self) -> str:
         return f"{self.check} n={self.n} k={self.k}: {'PASS' if self.passed else 'FAIL'} ({self.elapsed_ms} ms)"
@@ -134,20 +123,19 @@ class QuotientReport:
         return self.divisible
 
     def to_json_dict(self) -> dict:
-        d: dict = {
-            "check": "quotient",
-            "n": self.n,
-            "k": self.k,
-            "mode": self.mode,
-            "pass": self.divisible,
-        }
-        if self.quotient_stats is not None:
-            d["stats"] = self.quotient_stats.to_json_dict()
-        d["detw_stats"] = self.detw_stats.to_json_dict()
-        if self.unconstrained_detw_monomials is not None:
-            d["unconstrained_detw_monomials"] = self.unconstrained_detw_monomials
-        d["elapsed_ms"] = self.elapsed_ms
-        return d
+        return _omit_none(
+            {
+                "check": "quotient",
+                "n": self.n,
+                "k": self.k,
+                "mode": self.mode,
+                "pass": self.divisible,
+                "stats": self.quotient_stats.to_json_dict() if self.quotient_stats is not None else None,
+                "detw_stats": self.detw_stats.to_json_dict(),
+                "unconstrained_detw_monomials": self.unconstrained_detw_monomials,
+                "elapsed_ms": self.elapsed_ms,
+            }
+        )
 
     def summary(self) -> str:
         line = f"quotient n={self.n} k={self.k}: {'PASS' if self.passed else 'FAIL'}"
@@ -366,6 +354,11 @@ def check_lemma_adb0(n: int, k: int) -> VerificationReport:
     return VerificationReport(
         check="lemma-adb0", n=n, k=k, passed=passed, witness=witness, elapsed_ms=_ms(t0)
     )
+
+
+def _omit_none(fields: dict) -> dict:
+    """A report's JSON fields in their order, each optional field left out while it is None."""
+    return {key: value for key, value in fields.items() if value is not None}
 
 
 def _ms(t0: float) -> float:

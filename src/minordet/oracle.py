@@ -34,6 +34,7 @@ from .identities import (
     SylvesterExponents,
     VerificationReport,
     _ms,
+    _omit_none,
     build_generic,
     compound_minor_products,
     forced_divisor,
@@ -119,22 +120,21 @@ class FuzzReport:
 
     def to_json_dict(self) -> dict:
         p = self.plan
-        d: dict = {
-            "theorem": p.theorem,
-            "n": p.n,
-            "k": p.k,
-            "trials": p.trials,
-            "seed": p.seed,
-            "bound": p.bound,
-            "passes": self.passes,
-            "failures": self.failures,
-        }
-        if self.first_failure is not None:
-            d["first_failure"] = self.first_failure
-        d["evidence"] = "pointwise"
-        if self.note is not None:
-            d["note"] = self.note
-        return d
+        return _omit_none(
+            {
+                "theorem": p.theorem,
+                "n": p.n,
+                "k": p.k,
+                "trials": p.trials,
+                "seed": p.seed,
+                "bound": p.bound,
+                "passes": self.passes,
+                "failures": self.failures,
+                "first_failure": self.first_failure,
+                "evidence": "pointwise",
+                "note": self.note,
+            }
+        )
 
     def summary(self) -> str:
         p = self.plan
@@ -182,12 +182,15 @@ def _tally(plan: FuzzPlan, failure_at) -> FuzzReport:
     return FuzzReport(plan=plan, passes=passes, failures=failures, passed=not failures, first_failure=first)
 
 
-def _divides_det(d: int, w: MatrixExpr) -> bool:
-    """d | det(w), where 0 divides only 0; modulo |d| on compounds of MOD_DET_MIN_ROWS rows or more."""
+def _divides_det(d: int, w: MatrixExpr) -> tuple[bool, int | None]:
+    """(d | det(w), det(w)), where 0 divides only 0.
+
+    From MOD_DET_MIN_ROWS rows and d != 0 the verdict is taken mod |d|, and det(w), not formed, is None.
+    """
     if d and w.rows >= MOD_DET_MIN_ROWS:
-        return det_mod(w, abs(d)) == 0
+        return det_mod(w, abs(d)) == 0, None
     det_w = det_bareiss(w)
-    return det_w == 0 if d == 0 else det_w % d == 0
+    return (det_w == 0 if d == 0 else det_w % d == 0), det_w
 
 
 def _run_divisibility(plan: FuzzPlan, apply_constraints: bool) -> FuzzReport:
@@ -198,9 +201,16 @@ def _run_divisibility(plan: FuzzPlan, apply_constraints: bool) -> FuzzReport:
         a, b = random_instance(plan, t, apply_constraints)
         w = compound_minor_products(a, b, plan.k).matrix
         d = forced_divisor(plan.theorem, a, b, det_bareiss)
-        if _divides_det(d, w):
+        divides, det_w = _divides_det(d, w)
+        if divides:
             return None
-        return lambda: {"trial": t, "a": a.row_list(), "b": b.row_list(), "det_w": det_bareiss(w), "divisor": d}
+        return lambda: {
+            "trial": t,
+            "a": a.row_list(),
+            "b": b.row_list(),
+            "det_w": det_bareiss(w) if det_w is None else det_w,
+            "divisor": d,
+        }
 
     return _tally(plan, failure_at)
 

@@ -15,10 +15,9 @@ monomial divisibility can be decided by one subtraction and one mask test.
 Coefficients are arbitrary-precision ints; term maps never hold a zero
 coefficient and the zero polynomial has an empty term map.
 
-A polynomial is built only by `Polynomial.variable`, `constant` (with
-`zero` and `one`) and `from_terms`, which check their input, and by ring
-operations; `Polynomial(...)` itself raises TypeError.  The text form of
-`serialize` is for display and has no parser.
+A polynomial is built only by `Polynomial.variable` and `constant` (with
+`zero` and `one`) and by ring operations; `Polynomial(...)` itself raises
+TypeError.  Its `repr` gives the term count; there is no text form.
 """
 
 from __future__ import annotations
@@ -102,7 +101,7 @@ class Polynomial:
     __slots__ = ("universe", "terms", "_key_or")
 
     def __new__(cls, *args, **kwargs):
-        raise TypeError("build a Polynomial with variable, constant, from_terms or ring operations")
+        raise TypeError("build a Polynomial with variable, constant or ring operations")
 
     def __reduce__(self):  # copy and pickle rebuild through _from_clean, not __new__
         return (Polynomial._from_clean, (self.universe, self.terms))
@@ -131,23 +130,6 @@ class Polynomial:
     @classmethod
     def variable(cls, universe: VariableUniverse, name: str) -> "Polynomial":
         return cls._from_clean(universe, {universe.variable_monomial(name): 1})
-
-    @classmethod
-    def from_terms(
-        cls,
-        universe: VariableUniverse,
-        terms: Iterable[tuple[int, Mapping[str, int]]],
-    ) -> "Polynomial":
-        """Build from (coefficient, {variable name: exponent}) pairs."""
-        acc: dict[int, int] = {}
-        for coeff, exps in terms:
-            m = 0
-            for name, e in exps.items():
-                if e < 0 or e > EXPONENT_LIMIT:
-                    raise ValueError(f"exponents must lie in [0, {EXPONENT_LIMIT}]")
-                m += e << (8 * (universe.nvars - 1 - universe.index(name)))
-            acc[m] = acc.get(m, 0) + coeff
-        return cls._from_clean(universe, {m: c for m, c in acc.items() if c})
 
     # -- ring structure ----------------------------------------------------
 
@@ -284,31 +266,8 @@ class Polynomial:
             total += v
         return total
 
-    # -- text form, for display ---------------------------------------------
-
-    def serialize(self) -> str:
-        """Canonical text form, terms in descending lex order, one space apart."""
-        if not self.terms:
-            return "0"
-        u = self.universe
-        nb = u.nvars
-        parts = []
-        for m in sorted(self.terms, reverse=True):
-            c = self.terms[m]
-            bits = [f"+{c}" if c > 0 else str(c)]
-            for name, e in zip(u.names, m.to_bytes(nb, "big")):
-                if e == 1:
-                    bits.append(name)
-                elif e:
-                    bits.append(f"{name}^{e}")
-            parts.append("*".join(bits))
-        return " ".join(parts)
-
-    def __str__(self):
-        return self.serialize()
-
     def __repr__(self):
-        return f"<Polynomial {self.serialize()}>"
+        return f"<Polynomial {len(self.terms)} terms>"
 
 
 def accumulate_product(acc: dict[int, int], p: Polynomial, q: Polynomial, negate: bool = False) -> None:

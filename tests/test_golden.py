@@ -2,7 +2,8 @@
 
 The runs cover fuzzing (whose negative-control witnesses embed the drawn
 matrices, so the seeded draw and the constraint wiring are pinned), the
-symbolic checks and the quotient sizes.  Record the file again with
+symbolic checks, the power identity and its chio case, cauchy-binet and the
+quotient sizes.  Record the file again with
 `PYTHONPATH=src python tests/test_golden.py` only when a change of output is
 intended.
 """

@@ -120,23 +120,18 @@ def test_compound_family_counts_and_order():
             c = compound_minors(a, k)
             assert c.family == tuple(combinations(range(1, n + 1), k))
             assert c.matrix.rows == len(c.family) == math.comb(n, k)
-            for i, subset in enumerate(c.family):
-                assert c.entry(subset, subset) == c.matrix.entry(i + 1, i + 1) == 1
-    c = compound_minors(MatrixExpr.identity(4), 2)
-    with pytest.raises(ValueError):
-        c.entry((1, 4), (1, 2))
-    with pytest.raises(ValueError):
-        c.entry((1, 2), (2, 1))
+            assert c.matrix == MatrixExpr.identity(len(c.family))
 
 
 def test_compound_minors_k1_formula():
     a, _, _ = build_generic(GenericSpec(2))
     c = compound_minors(a, 1)
     assert c.matrix.rows == 2
+    assert c.family == ((1,), (2,))
     for i in (1, 2):
         for j in (1, 2):
             want = a.entry(i, j) * a.entry(3, 3) - a.entry(i, 3) * a.entry(3, j)
-            assert c.entry((i,), (j,)) == want
+            assert c.matrix.entry(i, j) == want
 
 
 def test_minor_products_are_entrywise():
@@ -144,9 +139,8 @@ def test_minor_products_are_entrywise():
     w = compound_minor_products(a, b, 1)
     wa = compound_minors(a, 1)
     wb = compound_minors(b, 1)
-    for row in w.family:
-        for col in w.family:
-            assert w.entry(row, col) == wa.entry(row, col) * wb.entry(row, col)
+    assert w.family == wa.family == wb.family
+    assert w.matrix.entries == [x * y for x, y in zip(wa.matrix.entries, wb.matrix.entries)]
     with pytest.raises(ValueError):
         compound_minor_products(a, MatrixExpr.identity(2), 1)
 
@@ -160,9 +154,7 @@ def test_minor_products_transpose_symmetry():
     a, b, _ = build_generic(GenericSpec(2))
     w = compound_minor_products(a, b, 1)
     wt = compound_minor_products(_transpose(a), _transpose(b), 1)
-    for row in w.family:
-        for col in w.family:
-            assert wt.entry(row, col) == w.entry(col, row)
+    assert wt.matrix == _transpose(w.matrix)
 
 
 def test_sylvester_small_symbolic():
@@ -347,14 +339,14 @@ def _assert_minors_match_submatrices(a, b, det):
         ca = compound_minors(a, k)
         cb = compound_minors(b, k)
         w = compound_minor_products(a, b, k)
-        for row_set in ca.family:
-            for col_set in ca.family:
+        for i, row_set in enumerate(ca.family, 1):
+            for j, col_set in enumerate(ca.family, 1):
                 rows, cols = row_set + (n + 1,), col_set + (n + 1,)
                 want_a = det(submatrix(a, rows, cols))
                 want_b = det(submatrix(b, rows, cols))
-                assert ca.entry(row_set, col_set) == want_a, (n, k, row_set, col_set)
-                assert cb.entry(row_set, col_set) == want_b, (n, k, row_set, col_set)
-                assert w.entry(row_set, col_set) == want_a * want_b, (n, k, row_set, col_set)
+                assert ca.matrix.entry(i, j) == want_a, (n, k, row_set, col_set)
+                assert cb.matrix.entry(i, j) == want_b, (n, k, row_set, col_set)
+                assert w.matrix.entry(i, j) == want_a * want_b, (n, k, row_set, col_set)
 
 
 def test_bordered_minor_matches_direct_submatrix():

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import pytest
 
+from minordet import oracle
 from minordet.exactmat import det_bareiss, det_laplace, evaluate_matrix
 from minordet.identities import (
     THEOREM_CONSTRAINTS,
@@ -201,6 +202,21 @@ def test_verdicts_do_not_change_across_the_modular_rule():
         for run, constrained in ((fuzz_divisibility, True), (negative_control, False)):
             rep = run(plan)
             assert (rep.passes, rep.failures, rep.first_failure) == _recomputed(rep.plan, constrained)
+
+
+def test_first_failure_reuses_the_verdicts_det_w(monkeypatch):
+    # b0 n=3 k=2: the compound W is 3 x 3, the divisor's det A is 4 x 4
+    compound_dets = []
+
+    def counting_det_bareiss(m):
+        if m.rows == 3:
+            compound_dets.append(m)
+        return det_bareiss(m)
+
+    monkeypatch.setattr(oracle, "det_bareiss", counting_det_bareiss)
+    rep = negative_control(FuzzPlan("b0", 3, 2, 5, 7, 100))
+    assert rep.failures >= 1 and rep.plan.trials == 5  # not escalated
+    assert len(compound_dets) == 5  # one per trial; the witness reuses the verdict's det W
 
 
 def test_report_json_shape():
