@@ -9,8 +9,8 @@ which are plain increasing tuples; internals are 0-based.
 Three determinant routines cross-check one another:
 
   * det_laplace   memoized column expansion, works for both entry kinds;
-                  it is the k = n case of bordered_minors, the engine that
-                  builds every bordered minor of a compound,
+                  it is the k = n case of bordered_minors, the engine
+                  behind every minor the package takes,
   * det_bareiss   fraction-free elimination, integer matrices only,
   * brute_force_det  signed permutation sum, capped at size 8, oracle role.
 

@@ -26,8 +26,8 @@ import time
 from dataclasses import dataclass, replace
 from itertools import combinations, product
 
-from .exactmat import MatrixExpr, bordered_minors, det_laplace, submatrix
-from .polyring import Polynomial, PolyStats, VariableUniverse, exact_div
+from .exactmat import MatrixExpr, bordered_minors, det_laplace
+from .polyring import Polynomial, PolyStats, VariableUniverse, _omit_none, exact_div
 
 CONSTRAINT_FLAGS = frozenset(
     {"a_corner_zero", "b_corner_zero", "a_last_row_zero", "borders_one_a", "borders_one_b"}
@@ -329,22 +329,25 @@ def check_lemma_adb0(n: int, k: int) -> VerificationReport:
 
     Verifies det A | det W by exact division, together with the two
     structural facts that drive it: det A factors through the corner times
-    the top-left block determinant, and every bordered minor of A factors
-    through the corner times the unbordered minor.
+    det A_top, A's top-left n x n block, and every bordered minor of A
+    through the corner times the unbordered minor.  Both right-hand factors
+    come from [[A_top, 0], [0, 1]]: its determinant and its bordered minors.
     """
     t0 = time.perf_counter()
     if n > SYMBOLIC_N_LIMIT:
         raise ValueError(f"check_lemma_adb0 is symbolic and bounded at n <= {SYMBOLIC_N_LIMIT}")
-    a, b, _ = build_generic(GenericSpec(n, THEOREM_CONSTRAINTS["adb0"]))
+    a, b, universe = build_generic(GenericSpec(n, THEOREM_CONSTRAINTS["adb0"]))
     corner = a.entry(n + 1, n + 1)
     det_w, det_a, q = symbolic_quotient("adb0", a, b, k)
+    zero, one = Polynomial.zero(universe), Polynomial.one(universe)
+    block = MatrixExpr.from_rows([r[:n] + [zero] for r in a.row_list()[:n]] + [[zero] * n + [one]], universe)
     failures = []
-    if det_a != corner * det_laplace(submatrix(a, range(1, n + 1), range(1, n + 1))):
+    if det_a != corner * det_laplace(block):
         failures.append("corner-block factorization")
     compound = compound_minors(a, k)
     pairs = product(compound.family, repeat=2)  # row-major, like the entries
-    for (row_set, col_set), bordered in zip(pairs, compound.matrix.entries):
-        if bordered != corner * det_laplace(submatrix(a, row_set, col_set)):
+    for (row_set, col_set), bordered, minor in zip(pairs, compound.matrix.entries, bordered_minors(block, k)):
+        if bordered != corner * minor:
             failures.append(f"minor factorization at ({row_set}, {col_set})")
             break
     if q is None or det_a * q != det_w:
@@ -354,11 +357,6 @@ def check_lemma_adb0(n: int, k: int) -> VerificationReport:
     return VerificationReport(
         check="lemma-adb0", n=n, k=k, passed=passed, witness=witness, elapsed_ms=_ms(t0)
     )
-
-
-def _omit_none(fields: dict) -> dict:
-    """A report's JSON fields in their order, each optional field left out while it is None."""
-    return {key: value for key, value in fields.items() if value is not None}
 
 
 def _ms(t0: float) -> float:

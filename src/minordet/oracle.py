@@ -26,7 +26,7 @@ import time
 from dataclasses import dataclass, replace
 from itertools import combinations, product
 
-from .exactmat import MatrixExpr, det_bareiss, det_mod, matmul, submatrix
+from .exactmat import MatrixExpr, det_bareiss, det_mod, matmul
 from .identities import (
     SYMBOLIC_N_LIMIT,
     THEOREM_CONSTRAINTS,
@@ -34,14 +34,15 @@ from .identities import (
     SylvesterExponents,
     VerificationReport,
     _ms,
-    _omit_none,
     build_generic,
     compound_minor_products,
+    compound_minors,
     forced_divisor,
     forced_entries,
     power_identity,
     symbolic_quotient,
 )
+from .polyring import _omit_none
 
 DIVISIBILITY_THEOREMS = tuple(THEOREM_CONSTRAINTS)
 THEOREMS = DIVISIBILITY_THEOREMS + ("sylv",)
@@ -291,12 +292,11 @@ def check_griolv_k2(
     )
 
 
-def _compound(m: MatrixExpr, k: int) -> MatrixExpr:
-    """C_k(m): every k x k minor, row-major over (row k-subset, column k-subset) pairs."""
-    row_sets = tuple(combinations(range(1, m.rows + 1), k))
-    col_sets = tuple(combinations(range(1, m.cols + 1), k))
-    minors = [det_bareiss(submatrix(m, r, c)) for r, c in product(row_sets, col_sets)]
-    return MatrixExpr(len(row_sets), len(col_sets), minors)
+def _compound(m: MatrixExpr, k: int, size: int) -> MatrixExpr:
+    """C_k(m padded with zeros to size x size), as the bordered minors of [[m, 0], [0, 1]]."""
+    rows = m.row_list() + [[]] * (size - m.rows)
+    ent = [e for row in rows for e in row + [0] * (size + 1 - len(row))] + [0] * size + [1]
+    return compound_minors(MatrixExpr(size + 1, size + 1, ent), k).matrix
 
 
 def check_cauchy_binet(
@@ -308,10 +308,10 @@ def check_cauchy_binet(
 ) -> VerificationReport:
     """The compound identity C_k(AB) = C_k(A) C_k(B) on random integer matrices.
 
-    dims = (n, p, m): A is n x p, B is p x m.  C_k(M) holds every k x k minor
-    of M, so entry (P, Q) of C_k(A) C_k(B) is the sum over k-subsets R of the
-    inner index range of det(sub_P^R A) * det(sub_R^Q B); for k > p, C_k(A)
-    has no columns and every k-minor of AB must vanish.
+    dims = (n, p, m): A is n x p, B is p x m, and every matrix is padded with
+    zeros to max(dims) square, which adds only zero minors.  Entry (P, Q) of
+    C_k(A) C_k(B) is the sum over k-subsets R of det(sub_P^R A) * det(sub_R^Q B);
+    for k > p, C_k(A) has only zero columns and every k-minor of AB must vanish.
     """
     t0 = time.perf_counter()
     n, p, m = dims
@@ -323,14 +323,15 @@ def check_cauchy_binet(
         raise ValueError("trials must be positive")
     if bound < 1:
         raise ValueError("bound must be positive")
-    pairs = tuple(product(combinations(range(1, n + 1), k), combinations(range(1, m + 1), k)))
+    size = max(dims)
+    pairs = tuple(product(combinations(range(1, size + 1), k), repeat=2))
 
     def failure_at(t: int) -> dict | None:
         rng = trial_rng(seed, t)
         a = rand_int_matrix(rng, n, p, bound)
         b = rand_int_matrix(rng, p, m, bound)
-        left = _compound(matmul(a, b), k).entries
-        right = matmul(_compound(a, k), _compound(b, k)).entries
+        left = _compound(matmul(a, b), k, size).entries
+        right = matmul(_compound(a, k, size), _compound(b, k, size)).entries
         for (row_set, col_set), lhs, rhs in zip(pairs, left, right):
             if lhs != rhs:
                 return {

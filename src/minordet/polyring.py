@@ -85,11 +85,12 @@ class PolyStats:
     content: int
 
     def to_json_dict(self) -> dict:
-        d: dict = {"monomials": self.monomials}
-        if self.degree is not None:
-            d["degree"] = self.degree
-        d["content"] = self.content
-        return d
+        return _omit_none({"monomials": self.monomials, "degree": self.degree, "content": self.content})
+
+
+def _omit_none(fields: dict) -> dict:
+    """A report's JSON fields in their order, each optional field left out while it is None."""
+    return {key: value for key, value in fields.items() if value is not None}
 
 
 class Polynomial:

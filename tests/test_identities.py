@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import math
 import random
-from itertools import combinations
+from itertools import combinations, product
 
 import pytest
 
@@ -17,6 +17,7 @@ from minordet.exactmat import MatrixExpr, brute_force_det, det_bareiss, det_lapl
 from minordet.identities import (
     CONSTRAINT_FLAGS,
     SYMBOLIC_N_LIMIT,
+    THEOREM_CONSTRAINTS,
     GenericSpec,
     SylvesterExponents,
     build_generic,
@@ -29,6 +30,7 @@ from minordet.identities import (
 )
 from minordet.oracle import (
     FuzzPlan,
+    _compound,
     check_cauchy_binet,
     check_griolv_k2,
     rand_int_matrix,
@@ -204,6 +206,23 @@ def test_cauchy_binet_empty_sum_case():
     assert rep.passed
 
 
+def test_compound_matches_brute_force_minors():
+    # a padded compound that vanished everywhere would pass check_cauchy_binet, so check each minor
+    rng = random.Random(8)
+    for rows, cols in product(range(7), repeat=2):
+        for bound in (50, 1):  # bound 1 makes many minors zero
+            m = rand_int_matrix(rng, rows, cols, bound)
+            for size in (max(rows, cols), max(rows, cols) + 1):
+                for k in range(size + 1):
+                    family = tuple(combinations(range(1, size + 1), k))
+                    c = _compound(m, k, size)
+                    assert (c.rows, c.cols) == (len(family), len(family))
+                    for (r, q), got in zip(product(family, repeat=2), c.entries):
+                        inside = all(i <= rows for i in r) and all(j <= cols for j in q)
+                        want = brute_force_det(submatrix(m, r, q)) if inside else 0
+                        assert got == want, (rows, cols, bound, size, k, r, q)
+
+
 def test_cauchy_binet_validation():
     with pytest.raises(ValueError):
         check_cauchy_binet((3, 3, 3), 4)
@@ -308,6 +327,14 @@ def test_lemma_adb0_small_sizes():
         check_lemma_adb0(SYMBOLIC_N_LIMIT + 1, 0)
     with pytest.raises(ValueError):
         check_lemma_adb0(2, 3)
+
+
+def test_lemma_adb0_reports_broken_factorizations(monkeypatch):
+    # without A's zero last row neither factorization holds, while b0's divisibility still does
+    monkeypatch.setitem(THEOREM_CONSTRAINTS, "adb0", frozenset({"b_corner_zero"}))
+    rep = check_lemma_adb0(2, 1)
+    assert not rep.passed
+    assert rep.witness == {"failures": ["corner-block factorization", "minor factorization at ((1,), (1,))"]}
 
 
 def test_lemma_adb0_entries_divisible_by_corner():
