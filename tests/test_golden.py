@@ -40,6 +40,10 @@ RUNS = [
     "verify --check sylvester --n 3",
     "verify --check chio --n 4",
     "verify --check cauchy-binet --n 3 --trials 20 --seed 1 --bound 20",
+    "verify --check ab0 --n 4 --k 2 --trials 10 --seed 3 --bound 20",
+    "verify --check sylvester --n 2 --k 1",
+    "verify --check lemma-adb0 --n 2 --k 1",
+    "verify --check griolv --n 2",
 ]
 
 

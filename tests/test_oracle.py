@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import pytest
 
-from minordet import oracle
+from minordet import identities, oracle
 from minordet.exactmat import det_bareiss, det_laplace, evaluate_matrix
 from minordet.identities import (
     THEOREM_CONSTRAINTS,
@@ -21,6 +21,7 @@ from minordet.oracle import (
     MOD_DET_MIN_ROWS,
     THEOREMS,
     FuzzPlan,
+    check_griolv_k2,
     fuzz_divisibility,
     fuzz_sylvester,
     negative_control,
@@ -217,6 +218,19 @@ def test_first_failure_reuses_the_verdicts_det_w(monkeypatch):
     rep = negative_control(FuzzPlan("b0", 3, 2, 5, 7, 100))
     assert rep.failures >= 1 and rep.plan.trials == 5  # not escalated
     assert len(compound_dets) == 5  # one per trial; the witness reuses the verdict's det W
+
+
+def test_griolv_reports_a_wrong_divisor(monkeypatch):
+    # a divisor three times too large fails on both tiers, and griolv names the tier
+    for module in (identities, oracle):
+        original = module.forced_divisor
+        monkeypatch.setattr(module, "forced_divisor", lambda *args, original=original: 3 * original(*args))
+    rep = check_griolv_k2(3)
+    assert not rep.passed
+    assert rep.witness == {"problem": "divisibility", "evidence": "symbolic"}
+    rep = check_griolv_k2(4, trials=10, seed=1, bound=20)
+    assert not rep.passed
+    assert rep.witness == {"problem": "divisibility", "evidence": "pointwise", "trial": 1}
 
 
 def test_report_json_shape():
