@@ -1,11 +1,14 @@
 """Command-line front end: verify, quotient, fuzz, selftest.
 
+verify runs one row of the VERIFY table per requested k; its b0 and ab0
+rows take their tier, symbolic or pointwise, from `oracle.divisibility`.
+
 Exit codes: 0 when every requested check passes, 1 on a mathematical-check
 failure, 2 on a usage error or a request that ran out of memory.  --json
 prints one JSON document on stdout (an object for one report or for
 selftest, an array otherwise) whose bytes are identical across runs for
 fixed inputs, except the elapsed_ms fields.
---verbose writes stage logging to stderr and never touches stdout.
+--verbose writes one line per report to stderr and never touches stdout.
 """
 
 from __future__ import annotations
@@ -15,21 +18,27 @@ import json
 import sys
 
 from .acceptance import run_all
-from .identities import SYMBOLIC_N_LIMIT, check_chio, check_lemma_adb0, check_sylvester, quotient
+from .identities import check_chio, check_lemma_adb0, check_sylvester, quotient
 from .oracle import (
     FuzzPlan,
     check_cauchy_binet,
     check_griolv_k2,
+    divisibility,
     fuzz_divisibility,
     fuzz_sylvester,
     negative_control,
 )
 
-VERIFY_CHECKS = ("sylvester", "chio", "cauchy-binet", "griolv", "lemma-adb0", "b0", "ab0")
-
-
-class UsageError(ValueError):
-    """A rule of the command line itself; like every ValueError, it exits 2."""
+# check -> (its fixed k, or None to take --k or sweep 0..n; the report for parsed args a at one k)
+VERIFY = {
+    "sylvester": (None, lambda a, k: check_sylvester(a.n, k)),
+    "chio": (1, lambda a, k: check_chio(a.n)),
+    "cauchy-binet": (None, lambda a, k: check_cauchy_binet((a.n,) * 3, k, a.trials, a.seed, a.bound)),
+    "griolv": (2, lambda a, k: check_griolv_k2(a.n, a.trials, a.seed, a.bound)),
+    "lemma-adb0": (None, lambda a, k: check_lemma_adb0(a.n, k)),
+    "b0": (None, lambda a, k: divisibility("b0", a.n, k, a.trials, a.seed, a.bound)),
+    "ab0": (None, lambda a, k: divisibility("ab0", a.n, k, a.trials, a.seed, a.bound)),
+}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -40,7 +49,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="verb", required=True)
 
     p_verify = sub.add_parser("verify", help="run one identity check, symbolically where feasible")
-    p_verify.add_argument("--check", required=True, choices=VERIFY_CHECKS)
+    p_verify.add_argument("--check", required=True, choices=tuple(VERIFY))
     p_verify.add_argument("--n", required=True, type=int)
     p_verify.add_argument("--k", type=int, default=None)
     p_verify.add_argument("--trials", type=int, default=100)
@@ -72,57 +81,18 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _verbose_log(enabled: bool):
-    def log(msg: str):
-        if enabled:
-            print(f"[minordet] {msg}", file=sys.stderr)
-
-    return log
-
-
-def _k_range(args) -> list[int]:
-    """The requested --k, or every k in [0, n]; the called check bounds an explicit --k."""
-    return [args.k] if args.k is not None else list(range(args.n + 1))
-
-
 def _run_verify(args) -> list:
-    log = _verbose_log(args.verbose)
     if args.n < 0:
-        raise UsageError("--n must be nonnegative")
+        raise ValueError("--n must be nonnegative")
+    fixed_k, report = VERIFY[args.check]
+    if fixed_k is not None and args.k is not None:
+        raise ValueError(f"{args.check} does not take --k (it is the k={fixed_k} case)")
+    one_k = args.k if fixed_k is None else fixed_k  # the called check bounds an explicit --k
     reports = []
-    check = args.check
-    if check == "sylvester":
-        for k in _k_range(args):
-            log(f"sylvester n={args.n} k={k}")
-            reports.append(check_sylvester(args.n, k))
-    elif check == "chio":
-        if args.k is not None:
-            raise UsageError("chio does not take --k (it is the k=1 compound)")
-        log(f"chio n={args.n}")
-        reports.append(check_chio(args.n))
-    elif check == "cauchy-binet":
-        dims = (args.n, args.n, args.n)
-        for k in _k_range(args):
-            log(f"cauchy-binet dims={dims} k={k}")
-            reports.append(check_cauchy_binet(dims, k, trials=args.trials, seed=args.seed, bound=args.bound))
-    elif check == "griolv":
-        if args.k is not None:
-            raise UsageError("griolv does not take --k (it is the k=2 case)")
-        log(f"griolv n={args.n}")
-        reports.append(check_griolv_k2(args.n, trials=args.trials, seed=args.seed, bound=args.bound))
-    elif check == "lemma-adb0":
-        for k in _k_range(args):
-            log(f"lemma-adb0 n={args.n} k={k}")
-            reports.append(check_lemma_adb0(args.n, k))
-    else:  # b0 / ab0: symbolic quotient when small, pointwise fuzzing when large
-        for k in _k_range(args):
-            if args.n <= SYMBOLIC_N_LIMIT:
-                log(f"{check} n={args.n} k={k} (symbolic quotient)")
-                reports.append(quotient(check, args.n, k))
-            else:
-                log(f"{check} n={args.n} k={k} (pointwise fuzzing)")
-                plan = FuzzPlan(check, args.n, k, trials=args.trials, seed=args.seed, bound=args.bound)
-                reports.append(fuzz_divisibility(plan))
+    for k in range(args.n + 1) if one_k is None else [one_k]:
+        if args.verbose:
+            print(f"[minordet] {args.check} n={args.n} k={k}", file=sys.stderr)
+        reports.append(report(args, k))
     return reports
 
 

@@ -16,6 +16,7 @@ Three determinant routines cross-check one another:
 
 A fourth, det_mod, gives det(a) mod m for an integer matrix by elimination
 mod m, so a divisibility test by m never forms the full determinant.
+`det` takes det_bareiss for an integer matrix, det_laplace for a polynomial one.
 """
 
 from __future__ import annotations
@@ -250,6 +251,11 @@ def _expand_poly(universe: VariableUniverse, column: list, sub: list, plan: tupl
             negate = not negate
         out.append(Polynomial._from_clean(universe, {m: c for m, c in acc.items() if c}))
     return out
+
+
+def det(a: MatrixExpr) -> RingEntry:
+    """det_bareiss for an integer matrix, det_laplace for a polynomial one."""
+    return det_bareiss(a) if a.universe is None else det_laplace(a)
 
 
 def det_bareiss(a: MatrixExpr) -> int:

@@ -14,9 +14,9 @@ THEOREM_CONSTRAINTS, and both evidence tiers read them there:
 `forced_entries` turns them into fixed entries of the symbolic matrices here
 and of the fuzzing oracle's integer draws, and `forced_divisor` derives the
 divisor from them.  `symbolic_quotient` certifies the divisibility by exact
-polynomial division for `quotient`, `check_lemma_adb0` and the symbolic half
-of `oracle.check_griolv_k2`.  This module is the symbolic tier only: integer
-draws, and every check made on them, live in `oracle`.
+polynomial division for `quotient` and `check_lemma_adb0`.  This module is
+the symbolic tier only: integer draws, and every check made on them, live in
+`oracle`, whose `divisibility` picks the tier by size.
 """
 
 from __future__ import annotations
@@ -26,7 +26,7 @@ import time
 from dataclasses import dataclass, replace
 from itertools import combinations, product
 
-from .exactmat import MatrixExpr, bordered_minors, det_laplace
+from .exactmat import MatrixExpr, bordered_minors, det, det_laplace
 from .polyring import Polynomial, PolyStats, VariableUniverse, _omit_none, exact_div
 
 CONSTRAINT_FLAGS = frozenset(
@@ -236,19 +236,15 @@ def _subset_family(n: int, k: int) -> tuple[tuple[int, ...], ...]:
     return tuple(combinations(range(1, n + 1), k))
 
 
-def forced_divisor(theorem: str, a, b, det):
-    """What the theorem's hypotheses force to divide det W: det A, times det B if A's corner is 0.
-
-    `det` is the determinant to take: det_laplace for symbolic (A, B),
-    det_bareiss for integer draws.
-    """
+def forced_divisor(theorem: str, a, b):
+    """What the theorem's hypotheses force to divide det W: det A, times det B if A's corner is 0."""
     if "a_corner_zero" in THEOREM_CONSTRAINTS[theorem]:
         return det(a) * det(b)
     return det(a)
 
 
-def power_identity(a: MatrixExpr, k: int, exps: SylvesterExponents, det):
-    """(det of compound_minors(a, k), corner^p * det(a)^q); `det` is taken as in forced_divisor."""
+def power_identity(a: MatrixExpr, k: int, exps: SylvesterExponents):
+    """(det of compound_minors(a, k), corner^p * det(a)^q), symbolic or integer as `a` is."""
     corner = a.entry(a.rows, a.cols)
     return det(compound_minors(a, k).matrix), corner**exps.p * det(a) ** exps.q
 
@@ -260,7 +256,7 @@ def symbolic_quotient(theorem: str, a: MatrixExpr, b: MatrixExpr, k: int):
     det W, and then the quotient is 0.
     """
     det_w = det_laplace(compound_minor_products(a, b, k).matrix)
-    divisor = forced_divisor(theorem, a, b, det_laplace)
+    divisor = forced_divisor(theorem, a, b)
     if not divisor:
         return det_w, divisor, None if det_w else Polynomial.zero(det_w.universe)
     return det_w, divisor, exact_div(det_w, divisor)
@@ -274,7 +270,7 @@ def check_sylvester(n: int, k: int) -> VerificationReport:
     t0 = time.perf_counter()
     exps = SylvesterExponents.from_params(n, k)
     a, _ = _single_generic(n)
-    lhs, rhs = power_identity(a, k, exps, det_laplace)
+    lhs, rhs = power_identity(a, k, exps)
     passed = lhs == rhs
     witness = None
     if not passed:
@@ -297,12 +293,11 @@ def quotient(
 ) -> QuotientReport:
     """Divide the compound determinant by its forced factor, constructively.
 
-    mode "b0" zeroes the corner of B and "ab0" both corners; the divisor is
-    forced_divisor's (det A, or det A * det B).  Symbolic work is bounded at
-    n <= 3.
+    mode is a THEOREM_CONSTRAINTS key, e.g. "b0" (B's corner zero); the divisor
+    is forced_divisor's (det A, or det A * det B).  Bounded at n <= 3.
     """
     t0 = time.perf_counter()
-    if mode not in ("b0", "ab0"):
+    if mode not in THEOREM_CONSTRAINTS:
         raise ValueError(f"unknown quotient mode: {mode!r}")
     if n > SYMBOLIC_N_LIMIT:
         raise ValueError(f"symbolic quotient is bounded at n <= {SYMBOLIC_N_LIMIT}")

@@ -10,9 +10,10 @@ verdict, without the thousands of bits of det W.  The entries each theorem
 fixes and the divisor it forces come from the same rules as the symbolic
 checks (`forced_entries`, `forced_divisor`).  Negative controls run the
 same pipeline with the structural constraints deliberately not applied and
-must produce failures.  check_griolv_k2's pointwise half runs here too, and
-so does check_cauchy_binet, which tests the compound identity
-C_k(AB) = C_k(A) C_k(B).
+must produce failures.  `divisibility` alone picks a divisibility check's
+tier: the exact symbolic quotient up to SYMBOLIC_N_LIMIT, fuzzing above it.
+check_griolv_k2 and check_cauchy_binet, which tests the compound identity
+C_k(AB) = C_k(A) C_k(B), run here too.
 
 Every random draw of the package is made here, from one child RNG per trial
 derived from (seed, trial index) through a splitmix64 mix, so trial t of a
@@ -40,7 +41,7 @@ from .identities import (
     forced_divisor,
     forced_entries,
     power_identity,
-    symbolic_quotient,
+    quotient,
 )
 from .polyring import _omit_none
 
@@ -201,7 +202,7 @@ def _run_divisibility(plan: FuzzPlan, apply_constraints: bool) -> FuzzReport:
     def failure_at(t: int):
         a, b = random_instance(plan, t, apply_constraints)
         w = compound_minor_products(a, b, plan.k).matrix
-        d = forced_divisor(plan.theorem, a, b, det_bareiss)
+        d = forced_divisor(plan.theorem, a, b)
         divides, det_w = _divides_det(d, w)
         if divides:
             return None
@@ -246,7 +247,7 @@ def fuzz_sylvester(plan: FuzzPlan) -> FuzzReport:
 
     def failure_at(t: int):
         a, _ = random_instance(plan, t)
-        lhs, rhs = power_identity(a, plan.k, exps, det_bareiss)
+        lhs, rhs = power_identity(a, plan.k, exps)
         if lhs == rhs:
             return None
         return lambda: {"trial": t, "a": a.row_list(), "lhs": lhs, "rhs": rhs}
@@ -254,21 +255,28 @@ def fuzz_sylvester(plan: FuzzPlan) -> FuzzReport:
     return _tally(plan, failure_at)
 
 
-def check_griolv_k2(
-    n: int, trials: int = 100, seed: int = 0, bound: int = 100
-) -> VerificationReport:
+def divisibility(theorem: str, n: int, k: int, trials: int, seed: int, bound: int):
+    """The forced divisor divides det W: quotient() up to SYMBOLIC_N_LIMIT, fuzz_divisibility above.
+
+    The plan is built first, so a request it refuses is refused on both tiers before any work.
+    """
+    plan = FuzzPlan(theorem, n, k, trials, seed, bound)
+    return quotient(theorem, n, k) if n <= SYMBOLIC_N_LIMIT else fuzz_divisibility(plan)
+
+
+def check_griolv_k2(n: int, trials: int = 100, seed: int = 0, bound: int = 100) -> VerificationReport:
     """Borders-one, corner-zero case at k = 2: closed-form entries plus divisibility.
 
     Every entry of the minor-product compound must equal
     (a_jk + a_il - a_ik - a_jl) * (b_jk + b_il - b_ik - b_jl) for row pair
     {i < j} and column pair {k < l}.  Divisibility of the compound
-    determinant by det A * det B is verified symbolically for n <= 3 and by
-    fuzz_divisibility for larger n, whose plan bounds n before any work.
+    determinant by det A * det B is checked by `divisibility`, symbolically
+    or pointwise; an entry failure is the witness ahead of it.
     """
     t0 = time.perf_counter()
     if n < 2:
         raise ValueError("check_griolv_k2 needs n >= 2")
-    plan = FuzzPlan("griolv", n, 2, trials, seed, bound) if n > SYMBOLIC_N_LIMIT else None
+    divisible = divisibility("griolv", n, 2, trials, seed, bound)
     a, b, _ = build_generic(GenericSpec(n, THEOREM_CONSTRAINTS["griolv"]))
     compound = compound_minor_products(a, b, 2)
     witness = None
@@ -278,15 +286,10 @@ def check_griolv_k2(
         if entry != cross[0] * cross[1]:
             witness = {"row_set": [i, j], "col_set": [kk, ll], "problem": "entry"}
             break
-    if witness is None:
-        if plan is None:
-            det_w, divisor, q = symbolic_quotient("griolv", a, b, 2)
-            if q is None or divisor * q != det_w:
-                witness = {"problem": "divisibility", "evidence": "symbolic"}
-        else:
-            first = fuzz_divisibility(plan).first_failure
-            if first is not None:
-                witness = {"problem": "divisibility", "evidence": "pointwise", "trial": first["trial"]}
+    if witness is None and not divisible.passed:
+        witness = {"problem": "divisibility", "evidence": "symbolic"}
+        if isinstance(divisible, FuzzReport):
+            witness.update(evidence="pointwise", trial=divisible.first_failure["trial"])
     return VerificationReport(
         check="griolv", n=n, k=2, passed=witness is None, witness=witness, elapsed_ms=_ms(t0)
     )

@@ -111,6 +111,9 @@ def test_verify_usage_errors(capsys):
          "--trials", "5", "--seed", "0", "--bound", "5"],
         ["verify", "--check", "cauchy-binet", "--n", "3", "--k", "2", "--bound", "0"],
         ["verify", "--check", "cauchy-binet", "--n", "3", "--k", "2", "--bound", "-2"],
+        # refused at the symbolic sizes as at the pointwise ones
+        ["verify", "--check", "b0", "--n", "3", "--k", "1", "--trials", "0"],
+        ["verify", "--check", "griolv", "--n", "3", "--bound", "0"],
     ]
     for argv in cases:
         rc = main(argv)

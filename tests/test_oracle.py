@@ -5,7 +5,7 @@ from __future__ import annotations
 import pytest
 
 from minordet import identities, oracle
-from minordet.exactmat import det_bareiss, det_laplace, evaluate_matrix
+from minordet.exactmat import det_bareiss, evaluate_matrix
 from minordet.identities import (
     THEOREM_CONSTRAINTS,
     GenericSpec,
@@ -104,8 +104,8 @@ def test_random_instance_applies_constraints():
                 }
                 a, b = random_instance(plan, t)
                 assert (a, b) == (evaluate_matrix(ga, point), evaluate_matrix(gb, point))
-                symbolic = forced_divisor(theorem, ga, gb, lambda m: det_laplace(m).evaluate(point))
-                assert symbolic == forced_divisor(theorem, a, b, det_bareiss)
+                symbolic = forced_divisor(theorem, ga, gb).evaluate(point)
+                assert symbolic == forced_divisor(theorem, a, b)
 
 
 def test_fuzz_divisibility_clean_runs():
@@ -179,7 +179,7 @@ def _recomputed(plan, apply_constraints):
     for t in range(plan.trials):
         a, b = random_instance(plan, t, apply_constraints)
         w = det_bareiss(compound_minor_products(a, b, plan.k).matrix)
-        d = forced_divisor(plan.theorem, a, b, det_bareiss)
+        d = forced_divisor(plan.theorem, a, b)
         if (w == 0) if d == 0 else (w % d == 0):
             passes += 1
         elif first is None:
