@@ -13,7 +13,6 @@ from .identities import (
     CompoundMatrix,
     GenericSpec,
     QuotientReport,
-    SylvesterExponents,
     VerificationReport,
     build_generic,
     check_chio,
@@ -52,7 +51,6 @@ __all__ = [
     "PolyStats",
     "Polynomial",
     "QuotientReport",
-    "SylvesterExponents",
     "UniverseMismatch",
     "VariableUniverse",
     "VerificationReport",

@@ -84,6 +84,10 @@ def build_parser() -> argparse.ArgumentParser:
 def _run_verify(args) -> list:
     if args.n < 0:
         raise ValueError("--n must be nonnegative")
+    if args.trials < 1:
+        raise ValueError("trials must be positive")
+    if args.bound < 1:
+        raise ValueError("bound must be positive")
     fixed_k, report = VERIFY[args.check]
     if fixed_k is not None and args.k is not None:
         raise ValueError(f"{args.check} does not take --k (it is the k={fixed_k} case)")

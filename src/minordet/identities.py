@@ -63,22 +63,6 @@ class GenericSpec:
 
 
 @dataclass(frozen=True)
-class SylvesterExponents:
-    """The two exponents of the compound power identity, binomials in n and k."""
-
-    p: int
-    q: int
-
-    @classmethod
-    def from_params(cls, n: int, k: int) -> "SylvesterExponents":
-        if n < 1 or k < 0 or k > n:
-            raise ValueError(f"need 1 <= n and 0 <= k <= n, got n={n} k={k}")
-        p = math.comb(n - 1, k)
-        q = math.comb(n - 1, k - 1) if k >= 1 else 0
-        return cls(p, q)
-
-
-@dataclass(frozen=True)
 class CompoundMatrix:
     """A square matrix whose rows and columns are the k-subsets in `family`."""
 
@@ -243,10 +227,14 @@ def forced_divisor(theorem: str, a, b):
     return det(a)
 
 
-def power_identity(a: MatrixExpr, k: int, exps: SylvesterExponents):
-    """(det of compound_minors(a, k), corner^p * det(a)^q), symbolic or integer as `a` is."""
+def power_identity(a: MatrixExpr, k: int):
+    """(det C_k(a), corner^C(n-1, k) * det(a)^C(n-1, k-1)) for (n+1) x (n+1) `a`, ints or polynomials."""
+    if a.rows < 2 or not 0 <= k < a.rows:
+        raise ValueError(f"need 1 <= n and 0 <= k <= n, got n={a.rows - 1} k={k}")
+    n = a.rows - 1
+    p, q = math.comb(n - 1, k), math.comb(n - 1, k - 1) if k else 0
     corner = a.entry(a.rows, a.cols)
-    return det(compound_minors(a, k).matrix), corner**exps.p * det(a) ** exps.q
+    return det(compound_minors(a, k).matrix), corner**p * det(a) ** q
 
 
 def symbolic_quotient(theorem: str, a: MatrixExpr, b: MatrixExpr, k: int):
@@ -268,9 +256,8 @@ def symbolic_quotient(theorem: str, a: MatrixExpr, b: MatrixExpr, k: int):
 def check_sylvester(n: int, k: int) -> VerificationReport:
     """Symbolic power identity for the compound of bordered minors of one matrix."""
     t0 = time.perf_counter()
-    exps = SylvesterExponents.from_params(n, k)
     a, _ = _single_generic(n)
-    lhs, rhs = power_identity(a, k, exps)
+    lhs, rhs = power_identity(a, k)
     passed = lhs == rhs
     witness = None
     if not passed:

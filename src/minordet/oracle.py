@@ -32,7 +32,6 @@ from .identities import (
     SYMBOLIC_N_LIMIT,
     THEOREM_CONSTRAINTS,
     GenericSpec,
-    SylvesterExponents,
     VerificationReport,
     _ms,
     build_generic,
@@ -243,11 +242,10 @@ def fuzz_sylvester(plan: FuzzPlan) -> FuzzReport:
     """Power identity for the single-matrix compound at random integer points."""
     if plan.theorem != "sylv":
         raise ValueError("fuzz_sylvester needs theorem 'sylv'")
-    exps = SylvesterExponents.from_params(plan.n, plan.k)
 
     def failure_at(t: int):
         a, _ = random_instance(plan, t)
-        lhs, rhs = power_identity(a, plan.k, exps)
+        lhs, rhs = power_identity(a, plan.k)
         if lhs == rhs:
             return None
         return lambda: {"trial": t, "a": a.row_list(), "lhs": lhs, "rhs": rhs}

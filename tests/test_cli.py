@@ -114,6 +114,10 @@ def test_verify_usage_errors(capsys):
         # refused at the symbolic sizes as at the pointwise ones
         ["verify", "--check", "b0", "--n", "3", "--k", "1", "--trials", "0"],
         ["verify", "--check", "griolv", "--n", "3", "--bound", "0"],
+        # refused by every check, also by those that ignore them
+        ["verify", "--check", "sylvester", "--n", "2", "--k", "1", "--trials", "0", "--bound", "0"],
+        ["verify", "--check", "chio", "--n", "2", "--bound", "0"],
+        ["verify", "--check", "lemma-adb0", "--n", "2", "--k", "1", "--trials", "0"],
     ]
     for argv in cases:
         rc = main(argv)
@@ -229,6 +233,12 @@ def test_fuzz_usage_errors(capsys):
     ])
     assert rc == 2
     capsys.readouterr()
+    rc = main([
+        "fuzz", "--theorem", "sylv", "--n", "0", "--k", "0",
+        "--trials", "1", "--seed", "0", "--bound", "1",
+    ])
+    assert rc == 2
+    assert capsys.readouterr().err == "error: need 1 <= n and 0 <= k <= n, got n=0 k=0\n"
 
 
 def test_selftest_runs_all_criteria(capsys):

@@ -19,13 +19,13 @@ from minordet.identities import (
     SYMBOLIC_N_LIMIT,
     THEOREM_CONSTRAINTS,
     GenericSpec,
-    SylvesterExponents,
     build_generic,
     check_chio,
     check_lemma_adb0,
     check_sylvester,
     compound_minor_products,
     compound_minors,
+    power_identity,
     quotient,
 )
 from minordet.oracle import (
@@ -33,6 +33,7 @@ from minordet.oracle import (
     _compound,
     check_cauchy_binet,
     check_griolv_k2,
+    fuzz_sylvester,
     rand_int_matrix,
     random_instance,
 )
@@ -51,19 +52,25 @@ def test_generic_spec_validation():
     assert len(CONSTRAINT_FLAGS) == 5
 
 
-def test_sylvester_exponents_known_values():
-    assert SylvesterExponents.from_params(3, 2) == SylvesterExponents(1, 2)
-    assert SylvesterExponents.from_params(4, 2) == SylvesterExponents(3, 3)
-    assert SylvesterExponents.from_params(5, 0) == SylvesterExponents(1, 0)
-    assert SylvesterExponents.from_params(5, 5) == SylvesterExponents(0, 1)
-    for n in range(1, 9):
-        for k in range(n + 1):
-            e = SylvesterExponents.from_params(n, k)
-            assert e.p + e.q == math.comb(n, k)
-    with pytest.raises(ValueError):
-        SylvesterExponents.from_params(0, 0)
-    with pytest.raises(ValueError):
-        SylvesterExponents.from_params(3, 4)
+def test_power_identity_exponents_known_values():
+    # rhs is corner^C(n-1, k) * det^C(n-1, k-1); |corner|, |det| >= 2 tell the exponents apart
+    rng = random.Random(13)
+    for n, k in [(3, 2), (4, 2), (5, 0), (5, 5), (1, 0), (1, 1), (2, 1)]:
+        mat = MatrixExpr(n + 1, n + 1, [rng.randint(-9, 9) for _ in range((n + 1) ** 2)])
+        corner, d = mat.entry(n + 1, n + 1), det_bareiss(mat)
+        assert abs(corner) > 1 and abs(d) > 1, (n, k)
+        lhs, rhs = power_identity(mat, k)
+        assert rhs == corner ** math.comb(n - 1, k) * d ** (math.comb(n - 1, k - 1) if k else 0), (n, k)
+        assert lhs == rhs, (n, k)
+    refusal = "need 1 <= n and 0 <= k <= n, got n={} k={}"
+    with pytest.raises(ValueError, match=refusal.format(0, 0)):
+        power_identity(MatrixExpr(1, 1, [5]), 0)
+    with pytest.raises(ValueError, match=refusal.format(0, 0)):
+        check_sylvester(0, 0)
+    with pytest.raises(ValueError, match=refusal.format(3, 4)):
+        check_sylvester(3, 4)
+    with pytest.raises(ValueError, match=refusal.format(0, 0)):
+        fuzz_sylvester(FuzzPlan("sylv", 0, 0, 1, 0, 1))
 
 
 def test_build_generic_unconstrained_counts():
@@ -175,11 +182,8 @@ def test_sylvester_numeric_spot_check():
     for _ in range(20):
         n, k = 3, 2
         mat = MatrixExpr(n + 1, n + 1, [rng.randint(-9, 9) for _ in range((n + 1) ** 2)])
-        comp = compound_minors(mat, k)
-        e = SylvesterExponents.from_params(n, k)
-        lhs = det_bareiss(comp.matrix)
-        rhs = mat.entry(n + 1, n + 1) ** e.p * det_bareiss(mat) ** e.q
-        assert lhs == rhs
+        lhs, rhs = power_identity(mat, k)
+        assert lhs == det_bareiss(compound_minors(mat, k).matrix) == rhs
 
 
 def test_chio_small():
