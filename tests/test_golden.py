@@ -44,6 +44,8 @@ RUNS = [
     "verify --check sylvester --n 2 --k 1",
     "verify --check lemma-adb0 --n 2 --k 1",
     "verify --check griolv --n 2",
+    "fuzz --theorem b0 --n 6 --k 3 --trials 5 --seed 7 --bound 50 --negative-control",
+    "fuzz --theorem adb0 --n 7 --k 3 --trials 3 --seed 2 --bound 2",
 ]
 
 
