@@ -294,45 +294,61 @@ def det_bareiss(a: MatrixExpr) -> int:
 def det_mod(a: MatrixExpr, m: int) -> int:
     """det(a) mod m in [0, m) for an integer matrix and any modulus m >= 1.
 
-    Elimination mod m by row operations of determinant +-1 only, so a
-    composite m needs no inverse that may not exist.  Per column: a pivot
-    that is a unit mod m clears the column with its inverse, one row update
-    per entry; with no unit in the column, an entry the pivot p divides takes
-    one row update, and any other entry e one 2 x 2 step (s, t; -e/g, p/g),
-    with s p + t e = g = gcd(p, e), which leaves g as the pivot.  The
-    eliminated column is then dropped from every row.
+    Elimination mod m by row swaps and row operations of determinant 1 mod m,
+    so a composite m needs no inverse that may not exist.  Each row is one
+    int of fixed-width nonnegative slots, column j in slot j, and a row
+    update is one multiply-add of whole rows, `(row + x * pivot) >> bits`
+    with 0 < x <= m, whose shift drops the eliminated column.  The pivot row
+    is reduced slot by slot mod m first, so a slot gains under 2 m^2 per
+    column and stays below (2n + 2) m^2, which its width holds: no slot ever
+    borrows or carries into the next.  Per column the pivot p is an entry
+    whose gcd h with m is least; an entry e that h divides takes one update,
+    as e = q p (mod m) for q = (e/h) (p/h)^-1 mod m/h, and any other entry
+    one 2 x 2 step (s, t; m - e/g, p/g), s p + t e = g = gcd(p, e), on the
+    reduced rows, which leaves g as the pivot.
     """
     _require_square(a)
     if a.universe is not None:
         raise TypeError("det_mod handles integer matrices only")
     if m < 1:
         raise ValueError("det_mod needs a modulus m >= 1")
+    width = -(-((2 * a.rows + 2) * m * m).bit_length() // 8)
+    bits, mask = 8 * width, (1 << 8 * width) - 1
+
+    def pack(slots) -> int:
+        return int.from_bytes(b"".join([(x % m).to_bytes(width, "little") for x in slots]), "little")
+
+    def reduce(row: int) -> int:
+        raw = row.to_bytes(-(-row.bit_length() // 8), "little")
+        return pack([int.from_bytes(raw[i : i + width], "little") for i in range(0, len(raw), width)])
+
     c = a.cols
-    rows = [[e % m for e in a.entries[r * c : (r + 1) * c]] for r in range(a.rows)]
+    rows = [pack(a.entries[r * c : (r + 1) * c]) for r in range(a.rows)]
     det = 1 % m
     while rows:
-        column = [row[0] for row in rows]
-        unit = next((i for i, e in enumerate(column) if gcd(e, m) == 1), None)
-        pick = unit if unit is not None else next((i for i, e in enumerate(column) if e), None)
-        if pick is None:
+        column = [(row & mask) % m for row in rows]
+        ideals = [gcd(e, m) for e in column]
+        h = min(ideals)
+        if h == m:
             return 0
+        pick = ideals.index(h)
         if pick:
             rows[0], rows[pick] = rows[pick], rows[0]
+            column[0], column[pick] = column[pick], column[0]
             det = -det
-        pivot = rows[0]
-        inverse = pow(pivot[0], -1, m) if unit is not None else None
+        pivot, p = reduce(rows[0]), column[0]
+        inverse = pow(p // h, -1, m // h)
         remaining = []
-        for row in rows[1:]:
-            e, p = row[0], pivot[0]
-            if inverse is not None or e % p == 0:
-                q = e * inverse % m if inverse is not None else e // p
-                remaining.append([(x - q * y) % m for x, y in zip(row[1:], pivot[1:])])
-            else:
-                g, s, t = _xgcd(p, e)
-                u, v = e // g, p // g
-                remaining.append([(v * x - u * y) % m for x, y in zip(row[1:], pivot[1:])])
-                pivot = [(s * y + t * x) % m for x, y in zip(row, pivot)]
-        det = det * pivot[0] % m
+        for row, e in zip(rows[1:], column[1:]):
+            if e % h == 0:
+                remaining.append((row + (m - e // h * inverse % m) * pivot) >> bits)
+                continue
+            g, s, t = _xgcd(p, e)
+            row = reduce(row)
+            remaining.append(((p // g) * row + (m - e // g) * pivot) >> bits)
+            pivot, p, h = reduce(s % m * pivot + t % m * row), g, gcd(g, m)
+            inverse = pow(g // h, -1, m // h)
+        det = det * p % m
         rows = remaining
     return det
 

@@ -51,9 +51,9 @@ MAX_N_DIVISIBILITY = 8
 MAX_N_SYLVESTER = 7
 
 # Compounds with fewer rows take det W by Bareiss even when d != 0.  Measured
-# on seeded bound-50 draws (Python 3.11, 2-vCPU Xeon VM), det_mod takes
-# 1.9-2.6x Bareiss's time on 10 x 10 compounds, 1.0-1.2x on 15 x 15,
-# 0.6-0.8x on 20 x 20 and 0.07x on 70 x 70
+# on seeded bound-50 ab0 draws (Python 3.11, 2-vCPU Xeon VM), det_mod takes
+# 1.6-3.6x Bareiss's time on 10 x 10 compounds, 0.9-1.8x on 15 x 15,
+# 0.33-0.7x on 20 x 20 and 0.01-0.03x on 70 x 70
 MOD_DET_MIN_ROWS = 16
 
 _M64 = (1 << 64) - 1
@@ -100,6 +100,8 @@ class FuzzPlan:
             raise ValueError(f"divisibility fuzzing is bounded at n <= {MAX_N_DIVISIBILITY}")
         if self.theorem == "sylv" and self.n > MAX_N_SYLVESTER:
             raise ValueError(f"power-identity fuzzing is bounded at n <= {MAX_N_SYLVESTER}")
+        if self.theorem == "sylv" and self.n < 1:
+            raise ValueError(f"need 1 <= n and 0 <= k <= n, got n={self.n} k={self.k}")
         if not (0 <= self.k <= self.n):
             raise ValueError("need 0 <= k <= n")
         if self.trials < 1:

@@ -204,8 +204,8 @@ def test_det_mod_matches_bareiss_remainder():
 
 
 def test_det_mod_without_a_unit_pivot():
-    # no entry of the first column is a unit mod these m; 4 does not divide 6 and
-    # gcd(4, 6) = 2 does not divide 9, so the column takes two extended-gcd steps
+    # no entry of the first column is a unit mod these m, and no entry's gcd with m
+    # divides both others' (4, 6 and 9 for m = 36), so the column takes 2 x 2 steps
     a = MatrixExpr.from_rows([[4, 1, 2], [6, 5, 3], [9, 7, 11]])
     for m in (12, 36, 2**10 * 3**5):
         assert det_mod(a, m) == det_bareiss(a) % m
@@ -221,6 +221,35 @@ def test_det_mod_without_a_unit_pivot():
     g, _ = _generic(2)
     with pytest.raises(TypeError):
         det_mod(g, 5)
+
+
+def test_det_mod_at_oracle_sizes():
+    # 16 to 40 rows, where a row's packed slots carry the most; moduli shaped like
+    # the oracle's d = det A * det B, 2^a 3^b, a prime and 1
+    rng = random.Random(1409)
+    prime = 2**61 - 1
+    for n in (16, 23, 31, 40):
+        a = _rand_int_matrix(rng, n, n, bound=50)
+        d = abs(det_bareiss(_rand_int_matrix(rng, 8, 8, 50)) * det_bareiss(_rand_int_matrix(rng, 8, 8, 50)))
+        det = det_bareiss(a)
+        for m in (d or 1, 2 ** rng.randint(1, 60) * 3 ** rng.randint(1, 30), prime, 1):
+            assert det_mod(a, m) == det % m, (n, m)
+    # singular mod 2 and 3, each a factor of m: the first column has no unit, its
+    # entries' 2- and 3-adic valuations differ, so the 2 x 2 step runs
+    for n in (16, 29):
+        rows = [
+            [6 ** rng.randint(1, 3) * rng.randint(1, 50)] + [rng.randint(-50, 50) for _ in range(n - 1)]
+            for _ in range(n)
+        ]
+        rows[-1] = [x + 2 * y - 3 * z for x, y, z in zip(rows[0], rows[1], rows[2])]
+        a = MatrixExpr.from_rows(rows)
+        det = det_bareiss(a)
+        for m in (2**40 * 3**20, 6 * prime, 2**7 * 3**3 * 5):
+            assert det_mod(a, m) == det % m, (n, m)
+    # every entry m - 1 off a unit diagonal: each slot takes the most additions
+    for n, m in ((24, 2**64 - 59), (40, 6**30), (40, 5)):
+        a = MatrixExpr(n, n, [1 if r == c else m - 1 for r in range(n) for c in range(n)])
+        assert det_mod(a, m) == det_bareiss(a) % m, (n, m)
 
 
 def test_det_bareiss_rejects_polynomials():

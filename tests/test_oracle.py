@@ -41,6 +41,8 @@ def test_plan_validation():
         FuzzPlan("b0", MAX_N_DIVISIBILITY + 1, 2, trials=10, seed=0, bound=5)
     with pytest.raises(ValueError):
         FuzzPlan("sylv", MAX_N_SYLVESTER + 1, 2, trials=10, seed=0, bound=5)
+    with pytest.raises(ValueError, match=r"^need 1 <= n and 0 <= k <= n, got n=0 k=0$"):
+        FuzzPlan("sylv", 0, 0, 1, 0, 1)
     with pytest.raises(ValueError):
         FuzzPlan("b0", 3, 4, trials=10, seed=0, bound=5)
     with pytest.raises(ValueError):
