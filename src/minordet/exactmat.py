@@ -26,7 +26,7 @@ from itertools import combinations, permutations
 from math import gcd
 from typing import Mapping, Sequence, Union
 
-from .polyring import Polynomial, VariableUniverse, accumulate_product
+from .polyring import Polynomial, VariableUniverse, sums_of_products
 
 RingEntry = Union[int, Polynomial]
 
@@ -182,7 +182,7 @@ def bordered_minors(a: MatrixExpr, k: int) -> list:
     if a.universe is None:
         expand, one = _expand_int, 1
     else:
-        expand, one = partial(_expand_poly, a.universe), Polynomial.one(a.universe)
+        expand, one = partial(sums_of_products, a.universe), Polynomial.one(a.universe)
     level = {(): [one]}  # column suffix -> minors, indexed like that level's row sets
     if k < n or size <= LAPLACE_PLAN_CACHE_CAP:
         plans = _expansion_plan(size, k)
@@ -202,7 +202,7 @@ def _expansion_plan(size: int, k: int) -> tuple:
 
     Level t has one entry per row set, in combinations order: for each row
     of the set, in order, (row, index of the row set without it in level
-    t - 1).  The expansion signs alternate along that order.
+    t - 1, negate); the signs alternate, so negate holds at odd positions.
     """
     border = size - 1
     rank = {(): 0}
@@ -214,7 +214,7 @@ def _expansion_plan(size: int, k: int) -> tuple:
             row_sets = [rows + (border,) for rows in combinations(range(border), k)]
         plans.append(
             tuple(
-                tuple((r, rank[rows[:p] + rows[p + 1 :]]) for p, r in enumerate(rows))
+                tuple((r, rank[rows[:p] + rows[p + 1 :]], p % 2 == 1) for p, r in enumerate(rows))
                 for rows in row_sets
             )
         )
@@ -227,29 +227,14 @@ def _expand_int(column: list, sub: list, plan: tuple) -> list:
     out = []
     for terms in plan:
         acc = 0
-        negate = False
-        for r, j in terms:
+        for r, j, negate in terms:
             e = column[r]
             if e:
                 if negate:
                     acc -= e * sub[j]
                 else:
                     acc += e * sub[j]
-            negate = not negate
         out.append(acc)
-    return out
-
-
-def _expand_poly(universe: VariableUniverse, column: list, sub: list, plan: tuple) -> list:
-    """The same step over polynomials, accumulating raw term maps."""
-    out = []
-    for terms in plan:
-        acc: dict[int, int] = {}
-        negate = False
-        for r, j in terms:
-            accumulate_product(acc, column[r], sub[j], negate)
-            negate = not negate
-        out.append(Polynomial._from_clean(universe, {m: c for m, c in acc.items() if c}))
     return out
 
 

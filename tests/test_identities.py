@@ -13,6 +13,7 @@ from itertools import combinations, product
 
 import pytest
 
+from minordet import polyring
 from minordet.exactmat import MatrixExpr, brute_force_det, det_bareiss, det_laplace, matmul, submatrix
 from minordet.identities import (
     CONSTRAINT_FLAGS,
@@ -392,3 +393,17 @@ def test_bordered_minor_matches_direct_submatrix():
         for constraints in patterns:
             a, b, _ = build_generic(GenericSpec(n, constraints))
             _assert_minors_match_submatrices(a, b, brute_force_det)  # at most 4 x 4
+
+
+def test_blocked_and_flat_kernels_agree_on_a_real_compound(monkeypatch):
+    # b0 n=3 k=2: det W has 31 410 terms over 31 variables and the quotient 2 070
+    a, b, _ = build_generic(GenericSpec(3, frozenset({"b_corner_zero"})))
+    runs = []
+    for threshold in (1, 10**9):  # every product and division blocked, then none
+        monkeypatch.setattr(polyring, "BLOCK_MIN_TERMS", threshold)
+        det_w = det_laplace(compound_minor_products(a, b, 2).matrix)
+        det_a = det_laplace(a)
+        runs.append((det_w.terms, det_a.terms, exact_div(det_w, det_a).terms))
+    blocked, flat = runs
+    assert blocked == flat
+    assert (len(flat[0]), len(flat[2])) == (31410, 2070)

@@ -16,6 +16,7 @@ from functools import reduce
 
 import pytest
 
+from minordet import polyring
 from minordet.polyring import (
     EXPONENT_LIMIT,
     Polynomial,
@@ -24,12 +25,18 @@ from minordet.polyring import (
     VariableUniverse,
     accumulate_product,
     exact_div,
+    sums_of_products,
 )
 
 U = VariableUniverse(["x", "y", "z"])
 X = Polynomial.variable(U, "x")
 Y = Polynomial.variable(U, "y")
 Z = Polynomial.variable(U, "z")
+
+# Over twelve variables the first BLOCK_VARS exponents pick a term's block, so
+# with BLOCK_MIN_TERMS forced to 1 every product and division is blocked.
+U12 = VariableUniverse([f"v{i}" for i in range(12)])
+V = [Polynomial.variable(U12, name) for name in U12.names]
 
 
 def _rand_poly(rng, universe, max_terms=6, max_exp=3, coeff_bound=9):
@@ -268,3 +275,90 @@ def test_equality_against_integers():
     assert Polynomial.zero(U) == 0
     assert X != 0
     assert X - X == 0
+
+
+def _sparse_poly(rng, max_terms, max_exp=2, coeff_bound=5):
+    """A random polynomial over U12 whose terms spread over several blocks."""
+    p = Polynomial.zero(U12)
+    for _ in range(rng.randint(1, max_terms)):
+        term = Polynomial.constant(U12, rng.choice([c for c in range(-coeff_bound, coeff_bound + 1) if c]))
+        for v in rng.sample(V, rng.randint(0, 4)):
+            term = term * v ** rng.randint(1, max_exp)
+        p = p + term
+    return p
+
+
+def _flat_product_terms(pairs):
+    acc: dict[int, int] = {}
+    for p, q, negate in pairs:
+        accumulate_product(acc, p, q, negate)
+    return {m: c for m, c in acc.items() if c}
+
+
+@pytest.fixture
+def blocked(monkeypatch):
+    """Random multi-block polynomials, built flat, then blocking forced on."""
+    rng = random.Random(107)
+    polys = [_sparse_poly(rng, 8) for _ in range(60)]
+    monkeypatch.setattr(polyring, "BLOCK_MIN_TERMS", 1)
+    return rng, polys
+
+
+def test_blocked_products_match_the_flat_loop(blocked):
+    rng, polys = blocked
+    multi_block = 0
+    for _ in range(150):
+        f, g, h = rng.sample(polys, 3)
+        assert (f * g).terms == _flat_product_terms([(f, g, False)])
+        # a sum of products with a negated one, and one whose cross terms cancel
+        pairs = [(f, g, False), (h, f, True), (f + g, f - g, False)]
+        ps, qs = [p for p, _, _ in pairs], [q for _, q, _ in pairs]
+        got = sums_of_products(U12, ps, qs, [((0, 0, False), (1, 1, True), (2, 2, False))])
+        assert got[0].terms == _flat_product_terms(pairs)
+        pt = {name: rng.randint(-3, 3) for name in U12.names}
+        assert (f * g).evaluate(pt) == f.evaluate(pt) * g.evaluate(pt)
+        assert got[0].evaluate(pt) == f.evaluate(pt) * g.evaluate(pt) - h.evaluate(pt) * f.evaluate(pt) + (
+            (f + g).evaluate(pt) * (f - g).evaluate(pt)
+        )
+        multi_block += len({m >> 8 * (U12.nvars - polyring.BLOCK_VARS) for m in (f * g).terms}) > 1
+    assert multi_block > 100
+
+
+def test_blocked_exact_div_roundtrips_and_never_lies(blocked):
+    rng, polys = blocked
+    divided = refused = 0
+    for _ in range(300):
+        d, q = rng.sample(polys, 2)
+        f = d * q
+        assert exact_div(f, d) == q
+        # one perturbing term in a random block, sometimes times d, so that some still divide
+        g = f + (d if rng.random() < 0.3 else 1) * _sparse_poly(rng, 1)
+        got = exact_div(g, d)
+        if got is None:
+            refused += 1
+        else:
+            assert d * got == g
+            divided += 1
+    assert refused > 150 and divided > 50
+
+
+def test_blocked_exact_div_refusals(blocked):
+    v0, v1, v5, v6 = V[0], V[1], V[5], V[6]
+    d = 2 * v0 + v5  # two blocks: key (1, 0, 0, 0) and key 0
+    # coefficient obstruction: 3 v0 v6 over the lead 2 v0
+    assert exact_div(3 * v0 * v6 + v5 * v6, d) is None
+    assert exact_div(4 * v0 * v6 + 2 * v5 * v6, d) == 2 * v6
+    # a term left over in a lower block that the divisor's lead cannot reach
+    assert exact_div(d * v6 + v1, d) is None
+    # (v0 + v5) * v6 puts v5 v6 into block 0, which the dividend v0 v6 does not have
+    assert exact_div(v0 * v6, v0 + v5) is None
+    assert exact_div(v0 * v6 + v5 * v6, v0 + v5) == v6
+
+
+def test_blocked_exponent_overflow_still_raises(blocked):
+    v0, v5, v6 = V[0], V[5], V[6]
+    assert ((v0**63 + v5) * (v0**64 + v6)).stats().degree == EXPONENT_LIMIT
+    with pytest.raises(OverflowError):
+        (v0**64 + v5) * (v0**64 + v6)
+    with pytest.raises(OverflowError):
+        sums_of_products(U12, [v5, v0**64 + v6], [v6, v0**64], [((0, 0, False), (1, 1, True))])
