@@ -16,6 +16,7 @@ from minordet.exactmat import (
     LAPLACE_PLAN_CACHE_CAP,
     MatrixExpr,
     _expansion_plan,
+    _int_steps,
     brute_force_det,
     det_bareiss,
     det_laplace,
@@ -141,12 +142,13 @@ def test_det_known_values():
     assert det_laplace(MatrixExpr.identity(5)) == 1
     with pytest.raises(ValueError):
         det_laplace(MatrixExpr(2, 3, [0] * 6))
-    # above the cap, det_laplace builds its size * 2^(size-1) index pairs per call and caches none
+    # above the cap, det_laplace builds its size * 2^(size-1) index pairs per call, caches none
+    # and compiles none
     size = LAPLACE_PLAN_CACHE_CAP + 4
     big = _rand_int_matrix(random.Random(207), size, size)
-    before = _expansion_plan.cache_info()
+    before = _expansion_plan.cache_info(), _int_steps.cache_info()
     assert det_laplace(big) == det_bareiss(big)
-    assert _expansion_plan.cache_info() == before
+    assert (_expansion_plan.cache_info(), _int_steps.cache_info()) == before
 
 
 def test_det_three_way_agreement_random():

@@ -365,9 +365,9 @@ def test_report_json_shapes():
     assert "unconstrained_detw_monomials" in qc
 
 
-def _assert_minors_match_submatrices(a, b, det):
+def _assert_minors_match_submatrices(a, b, det, ks=None):
     n = a.rows - 1
-    for k in range(n + 1):
+    for k in range(n + 1) if ks is None else ks:
         ca = compound_minors(a, k)
         cb = compound_minors(b, k)
         w = compound_minor_products(a, b, k)
@@ -388,6 +388,11 @@ def test_bordered_minor_matches_direct_submatrix():
             for bound in (50, 1):  # bound 1 makes many entries and minors zero
                 a, b = random_instance(FuzzPlan(theorem, n, 0, 1, 17 + n, bound), 0)
                 _assert_minors_match_submatrices(a, b, det_bareiss)
+    # fuzzing's largest compiled steps, and a k = n = 8 plan, interpreted because it is not cached
+    for theorem, (n, ks) in zip(("b0", "ab0", "adb0"), ((7, (3, 4)), (8, (3, 4)), (8, (8,)))):
+        for bound in (50, 1):
+            a, b = random_instance(FuzzPlan(theorem, n, 0, 1, 17 + n, bound), 0)
+            _assert_minors_match_submatrices(a, b, det_bareiss, ks)
     patterns = [frozenset()] + [frozenset({flag}) for flag in sorted(CONSTRAINT_FLAGS)]
     for n in range(4):
         for constraints in patterns:
