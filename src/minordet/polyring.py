@@ -19,10 +19,12 @@ Large term maps are worked on block by block, as a dict get+set costs about
 150 ns at 2 000 entries and 650 ns at 200 000.  A term's block key,
 `m >> 8 * (nvars - BLOCK_VARS)`, holds the first BLOCK_VARS exponents; no
 byte carries, so key(m1 + m2) = key(m1) + key(m2), and a product adds each
-block pair into the one block its key sum names.  Division takes the blocks
-in descending key order, which is descending lex order: a quotient term
-times a divisor term lands in the current block or a lower one, so only the
-current block is in a heap.
+block pair into the one block its key sum names.  Division is long division
+over block keys, with coefficients in the other variables.  It takes the
+blocks in descending key order, which is descending lex order, and divides
+each by the divisor's lead block alone, in a heap; the quotient block found
+there times each lower divisor block is one block product, subtracted from
+the lower block its key sum names.
 
 A polynomial is built only by `Polynomial.variable` and `constant` (with
 `zero` and `one`) and by ring operations; `Polynomial(...)` itself raises
@@ -209,6 +211,10 @@ class Polynomial:
         other = self._coerce(other)
         if other is None:
             return NotImplemented
+        one, many = (self, other) if len(self.terms) <= len(other.terms) else (other, self)
+        if len(one.terms) == 1 and not (one._monomial_or | many._monomial_or) & self.universe._safe_mask:
+            ((m1, c1),) = one.terms.items()  # a monomial times a polynomial, in one pass
+            return Polynomial._from_clean(self.universe, {m1 + m: c1 * c for m, c in many.terms.items()})
         if len(self.terms) < BLOCK_MIN_TERMS > len(other.terms):  # the common case, without a call
             out: dict[int, int] = {}
             accumulate_product(out, self, other)
@@ -361,9 +367,15 @@ def exact_div(f: Polynomial, d: Polynomial) -> Polynomial | None:
 
     Greedy cancellation of the lex-leading term; exactness of every
     intermediate coefficient division is required, matching divisibility in
-    Z[x1..xm].  From BLOCK_MIN_TERMS dividend terms on, the remainder is
-    cancelled block by block in descending key order, each block heapified
-    when reached.  A zero divisor raises ZeroDivisionError.
+    Z[x1..xm].  From BLOCK_MIN_TERMS dividend terms on, this is long division
+    over block keys: the remainder's blocks are taken in descending key
+    order, each is divided by d's lead block alone in a heap, and the
+    quotient block found there, times each lower block of d, is subtracted
+    by `accumulate_product` into the block its key sum names.  A block whose
+    key minus the lead key borrows must cancel to zero.  An exact quotient
+    has deg q + deg d <= EXPONENT_LIMIT in every variable, so a block product
+    that would overflow means None, not OverflowError.  A zero divisor
+    raises ZeroDivisionError.
     """
     if not isinstance(d, Polynomial) or not isinstance(f, Polynomial):
         raise TypeError("exact_div expects polynomials")
@@ -380,7 +392,10 @@ def exact_div(f: Polynomial, d: Polynomial) -> Polynomial | None:
     if (shift := _block_shift(u, (f,))) is None:
         lead_key, lead_items, lower, rem, keys = 0, list(d.terms.items()), (), {0: dict(f.terms)}, [0]
     else:  # the divisor by block key, descending: the first group holds lead_d
-        (lead_key, lead_items), *lower = sorted((k, list(g.items())) for k, g in _blocks(d.terms, shift).items())[::-1]
+        (lead_key, lead), *lower = sorted(
+            ((k, Polynomial._from_clean(u, g)) for k, g in _blocks(d.terms, shift).items()), reverse=True
+        )
+        lead_items = list(lead.terms.items())
         rem = _blocks(f.terms, shift)
         keys = sorted(-k for k in rem)  # a sorted list is a heap
     quotient: dict[int, int] = {}
@@ -389,19 +404,19 @@ def exact_div(f: Polynomial, d: Polynomial) -> Polynomial | None:
         cur = rem.pop(key)
         heap = [-m for m, c in cur.items() if c]
         heapify(heap)
-        t_key = key - lead_key
+        q_block: dict[int, int] = {}
         while heap:
             m = -heappop(heap)
             c = cur.get(m)
             if not c:
                 continue  # stale heap entry
             t = m - lead_d
-            if t < 0 or (t & guard):
+            if t < 0 or (t & guard):  # as is every term of a block whose key borrows
                 return None
             qc, r = divmod(c, lead_c)
             if r:
                 return None
-            quotient[t] = qc
+            q_block[t] = qc
             for md, cd in lead_items:
                 mm = md + t
                 old = cur.get(mm)
@@ -412,12 +427,17 @@ def exact_div(f: Polynomial, d: Polynomial) -> Polynomial | None:
                         heappush(heap, -mm)
                 elif old is not None:
                     del cur[mm]
-            for d_key, d_items in lower:
+        if q_block and lower:
+            t_key = key - lead_key
+            q_poly = Polynomial._from_clean(u, q_block)
+            for d_key, d_poly in lower:
                 low = rem.get(d_key + t_key)
                 if low is None:
                     low = rem[d_key + t_key] = {}
                     heappush(keys, -(d_key + t_key))
-                for md, cd in d_items:
-                    mm = md + t
-                    low[mm] = low.get(mm, 0) - cd * qc
+                try:  # an exact quotient keeps deg q + deg d <= EXPONENT_LIMIT in every variable
+                    accumulate_product(low, q_poly, d_poly, negate=True)
+                except OverflowError:
+                    return None
+        quotient.update(q_block)
     return Polynomial._from_clean(u, quotient)

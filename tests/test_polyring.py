@@ -9,6 +9,7 @@ integers.  exact_div is validated by recomposition.
 from __future__ import annotations
 
 import copy
+import itertools
 import math
 import pickle
 import random
@@ -362,3 +363,97 @@ def test_blocked_exponent_overflow_still_raises(blocked):
         (v0**64 + v5) * (v0**64 + v6)
     with pytest.raises(OverflowError):
         sums_of_products(U12, [v5, v0**64 + v6], [v6, v0**64], [((0, 0, False), (1, 1, True))])
+
+
+def test_exact_div_overflowing_block_product_means_not_divisible(blocked, monkeypatch):
+    # deg q + deg d <= EXPONENT_LIMIT in every variable for an exact quotient, so a
+    # quotient block whose product with a lower divisor block overflows refuses
+    v0, v6 = V[0], V[6]
+    d = v0 + v6**100  # lead block v0, lower block v6^100
+    assert exact_div(v0 * v6**100, d) is None
+    assert exact_div(d * v6**27, d) == v6**27  # v6^127 still fits
+    monkeypatch.setattr(polyring, "BLOCK_MIN_TERMS", 10**9)  # the flat loop agrees
+    assert exact_div(v0 * v6**100, d) is None
+    assert exact_div(d * v6**27, d) == v6**27
+
+
+def test_blocked_exact_div_by_a_single_block_divisor(blocked):
+    # every term of d shares the first BLOCK_VARS exponents, so d has no lower block
+    rng, polys = blocked
+    v0, v1 = V[0], V[1]
+    d = v0 * v1 * (V[5] - 2 * V[6] ** 2 + 3)
+    assert len({m >> 8 * (U12.nvars - polyring.BLOCK_VARS) for m in d.terms}) == 1
+    for q in polys[:20]:
+        f = d * q
+        assert exact_div(f, d) == q
+        assert exact_div(f + V[7], d) is None
+
+
+def _monomial(universe, exps):
+    term = Polynomial.one(universe)
+    for name, e in zip(universe.names, exps):
+        term = term * Polynomial.variable(universe, name) ** e
+    return term
+
+
+# The b0 universe at n = 4: the 25 entries of A, then those of B but its zero corner.
+B0_SIZE = 5
+B0 = VariableUniverse(
+    [f"a_{i}_{j}" for i in range(1, B0_SIZE + 1) for j in range(1, B0_SIZE + 1)]
+    + [f"b_{i}_{j}" for i in range(1, B0_SIZE + 1) for j in range(1, B0_SIZE + 1) if i < B0_SIZE or j < B0_SIZE]
+)
+
+
+def _generic_det_a():
+    """det A of the generic 5 x 5 by the Leibniz formula."""
+    det = Polynomial.zero(B0)
+    for perm in itertools.permutations(range(1, B0_SIZE + 1)):
+        inversions = sum(x > y for x, y in itertools.combinations(perm, 2))
+        term = Polynomial.constant(B0, -1 if inversions % 2 else 1)
+        for i, j in enumerate(perm, 1):
+            term = term * Polynomial.variable(B0, f"a_{i}_{j}")
+        det = det + term
+    return det
+
+
+def test_exact_div_by_generic_det_a_in_blocks():
+    d = _generic_det_a()
+    shift = 8 * (B0.nvars - polyring.BLOCK_VARS)
+    d_blocks = sorted({m >> shift for m in d.terms}, reverse=True)
+    assert len(d.terms) == 120 and len(d_blocks) == 5
+    assert sum(m >> shift == d_blocks[0] for m in d.terms) == 24  # the a_1_1 terms
+    rng = random.Random(108)
+    a_vars = [Polynomial.variable(B0, name) for name in B0.names[: B0_SIZE * B0_SIZE]]
+    q = Polynomial.zero(B0)
+    while len(q.terms) < 300:
+        term = Polynomial.constant(B0, rng.choice([c for c in range(-9, 10) if c]))
+        for v in rng.sample(a_vars, rng.randint(1, 4)):
+            term = term * v ** rng.randint(1, 2)
+        q = q + term
+    f = d * q
+    assert len(f.terms) >= polyring.BLOCK_MIN_TERMS  # the blocked path, at its own threshold
+    assert exact_div(f, d) == q
+    # one extra term of f's own monomials: in a lower block whose key does not borrow
+    # from d's lead key, and in one whose key does (no a_1_1), is refused
+    lead_key = d_blocks[0]
+    guard = B0._guard_mask >> shift
+    f_keys = sorted({m >> shift for m in f.terms}, reverse=True)
+    lower = next(k for k in f_keys[1:] if not (k - lead_key) & guard and k >= lead_key)
+    borrowing = next(k for k in f_keys if k < lead_key or (k - lead_key) & guard)
+    for key in (lower, borrowing):
+        m = next(m for m in f.terms if m >> shift == key)
+        assert exact_div(f + _monomial(B0, B0.unpack(m)), d) is None
+        assert exact_div(f - 3 * _monomial(B0, B0.unpack(m)), d) is None
+
+
+def test_one_term_products_match_the_flat_loop(blocked):
+    rng, polys = blocked
+    big = reduce(lambda x, y: x + y, polys)
+    assert len({m >> 8 * (U12.nvars - polyring.BLOCK_VARS) for m in big.terms}) > 1
+    for one in (-3 * V[0] * V[7] ** 2, Polynomial.constant(U12, 5), V[11] ** 63):
+        assert (one * big).terms == _flat_product_terms([(one, big, False)])
+        assert (big * one).terms == _flat_product_terms([(one, big, False)])
+    with pytest.raises(OverflowError):
+        V[0] ** 64 * (V[0] ** 64 + V[5])
+    with pytest.raises(OverflowError):
+        (V[0] ** 64 + V[5]) * V[0] ** 64
