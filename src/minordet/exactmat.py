@@ -18,14 +18,16 @@ A fourth, det_mod, gives det(a) mod m for an integer matrix by elimination
 mod m, so a divisibility test by m never forms the full determinant.
 `det` takes det_bareiss for an integer matrix, det_laplace for a polynomial one.
 
-bordered_minors takes one step per level of its expansion.  On integers the
-steps are compiled when the plan is cached and interpreted when it is built
-for one call: a cached plan (k < n, or size <= LAPLACE_PLAN_CACHE_CAP) is
-compiled once per (size, k) into straight-line functions, and a k = n plan
-above the cap is interpreted, since compiling costs about five interpreted
-passes.  On a shared 2-vCPU VM the n = 8, k = 4 plan costs 8-12 ms once and
-then 1.9-3.0 ms per matrix, against 4.2-8.0 ms interpreted; n = 4, k = 2
-costs 0.4-0.7 ms once, then 17-28 us against 30-49 us.
+bordered_minors takes one step per level of its expansion, chosen by entry
+kind only.  On integers the steps of each (size, k) are compiled once into
+straight-line functions and cached: on a shared 2-vCPU VM the n = 8, k = 4
+plan costs 8-12 ms once and then 1.9-3.0 ms per matrix, and n = 4, k = 2
+0.4-0.7 ms once, then 17-28 us.  So det_laplace keeps the compiled steps of
+each integer size it is given, and a large size is slow the first time:
+size 12 takes 0.12-0.15 s once, then 1.1-2.4 ms, and size 15 about 1.8 s
+once and 70 MB kept, then 21-29 ms.  No verb builds an integer k = n plan
+above size 9, since `det` takes det_bareiss for integers.  On polynomials
+each step is `polyring.sums_of_products`.
 """
 
 from __future__ import annotations
@@ -40,10 +42,6 @@ from .polyring import Polynomial, VariableUniverse, sums_of_products
 RingEntry = Union[int, Polynomial]
 
 BRUTE_FORCE_CAP = 8
-
-# det_laplace's index tables (k = n) hold size * 2^(size-1) pairs: cached up to
-# this size (at most 1 024 pairs each), built per call and dropped above it
-LAPLACE_PLAN_CACHE_CAP = 8
 
 
 class MatrixExpr:
@@ -186,25 +184,20 @@ def bordered_minors(a: MatrixExpr, k: int) -> list:
     checked that `a` is (n+1) x (n+1) and 0 <= k <= n.
 
     Each level is one step, called once per column suffix with that column
-    and the level below.  On integers the steps of a cached plan (k < n, or
-    size <= LAPLACE_PLAN_CACHE_CAP) are compiled once per (size, k) into
-    straight-line functions (`_int_steps`); a plan built for one call is
-    interpreted by `_expand_int`, since compiling costs about five passes.
-    On polynomials each step is `polyring.sums_of_products`.
+    and the level below.  On integers the steps are compiled once per
+    (size, k) into straight-line functions and kept (`_int_steps`), also for
+    a k = n plan, whose size * 2^(size-1) index pairs make a large size slow
+    to compile once (see the module docstring).  On polynomials each step is
+    `polyring.sums_of_products` over the cached `_expansion_plan`.
     """
     size = a.rows
     n = size - 1
     ent = a.entries
-    cached = k < n or size <= LAPLACE_PLAN_CACHE_CAP
-    if a.universe is None and cached:
+    if a.universe is None:
         one, steps = 1, _int_steps(size, k)
     else:
-        plans = _expansion_plan(size, k) if cached else _expansion_plan.__wrapped__(size, k)
-        if a.universe is None:
-            one, expand = 1, _expand_int
-        else:
-            one, expand = Polynomial.one(a.universe), partial(sums_of_products, a.universe)
-        steps = [partial(expand, sums=plan) for plan in plans]
+        one = Polynomial.one(a.universe)
+        steps = [partial(sums_of_products, a.universe, sums=plan) for plan in _expansion_plan(size, k)]
     level = {(): [one]}  # column suffix -> minors, indexed like that level's row sets
     for t, step in enumerate(steps):
         level = {
@@ -267,22 +260,6 @@ def _int_steps(size: int, k: int) -> tuple:
         steps.append(namespace["step"])
         width = len(plan)
     return tuple(steps)
-
-
-def _expand_int(column: list, sub: list, sums: tuple) -> list:
-    """One interpreted integer step: column[r] times the minors in sub, per row set."""
-    out = []
-    for terms in sums:
-        acc = 0
-        for r, j, negate in terms:
-            e = column[r]
-            if e:
-                if negate:
-                    acc -= e * sub[j]
-                else:
-                    acc += e * sub[j]
-        out.append(acc)
-    return out
 
 
 def det(a: MatrixExpr) -> RingEntry:

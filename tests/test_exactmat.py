@@ -13,9 +13,7 @@ import pytest
 
 from minordet.exactmat import (
     BRUTE_FORCE_CAP,
-    LAPLACE_PLAN_CACHE_CAP,
     MatrixExpr,
-    _expansion_plan,
     _int_steps,
     brute_force_det,
     det_bareiss,
@@ -142,13 +140,15 @@ def test_det_known_values():
     assert det_laplace(MatrixExpr.identity(5)) == 1
     with pytest.raises(ValueError):
         det_laplace(MatrixExpr(2, 3, [0] * 6))
-    # above the cap, det_laplace builds its size * 2^(size-1) index pairs per call, caches none
-    # and compiles none
-    size = LAPLACE_PLAN_CACHE_CAP + 4
-    big = _rand_int_matrix(random.Random(207), size, size)
-    before = _expansion_plan.cache_info(), _int_steps.cache_info()
+    # det_laplace compiles the steps of an integer size once and keeps them: a second 12 x 12
+    # matrix takes the same steps from the cache
+    rng = random.Random(207)
+    big, other = (_rand_int_matrix(rng, 12, 12) for _ in range(2))
     assert det_laplace(big) == det_bareiss(big)
-    assert (_expansion_plan.cache_info(), _int_steps.cache_info()) == before
+    before = _int_steps.cache_info()
+    assert det_laplace(other) == det_bareiss(other)
+    after = _int_steps.cache_info()
+    assert (after.hits - before.hits, after.misses - before.misses) == (1, 0)
 
 
 def test_det_three_way_agreement_random():

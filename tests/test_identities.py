@@ -9,11 +9,12 @@ from __future__ import annotations
 
 import math
 import random
+from functools import lru_cache
 from itertools import combinations, product
 
 import pytest
 
-from minordet import polyring
+from minordet import exactmat, polyring
 from minordet.exactmat import MatrixExpr, brute_force_det, det_bareiss, det_laplace, matmul, submatrix
 from minordet.identities import (
     CONSTRAINT_FLAGS,
@@ -34,6 +35,7 @@ from minordet.oracle import (
     _compound,
     check_cauchy_binet,
     check_griolv_k2,
+    fuzz_divisibility,
     fuzz_sylvester,
     rand_int_matrix,
     random_instance,
@@ -388,7 +390,7 @@ def test_bordered_minor_matches_direct_submatrix():
             for bound in (50, 1):  # bound 1 makes many entries and minors zero
                 a, b = random_instance(FuzzPlan(theorem, n, 0, 1, 17 + n, bound), 0)
                 _assert_minors_match_submatrices(a, b, det_bareiss)
-    # fuzzing's largest compiled steps, and a k = n = 8 plan, interpreted because it is not cached
+    # fuzzing's largest k < n steps, and the k = n = 8 steps (size 9, the largest any verb compiles)
     for theorem, (n, ks) in zip(("b0", "ab0", "adb0"), ((7, (3, 4)), (8, (3, 4)), (8, (8,)))):
         for bound in (50, 1):
             a, b = random_instance(FuzzPlan(theorem, n, 0, 1, 17 + n, bound), 0)
@@ -398,6 +400,16 @@ def test_bordered_minor_matches_direct_submatrix():
         for constraints in patterns:
             a, b, _ = build_generic(GenericSpec(n, constraints))
             _assert_minors_match_submatrices(a, b, brute_force_det)  # at most 4 x 4
+
+
+def test_k_equals_n_fuzzing_compiles_its_steps_once(monkeypatch):
+    # b0 n = k = 8: three trials take the bordered minors of six 9 x 9 matrices, one compile
+    steps = lru_cache(maxsize=64)(exactmat._int_steps.__wrapped__)
+    monkeypatch.setattr(exactmat, "_int_steps", steps)
+    rep = fuzz_divisibility(FuzzPlan("b0", 8, 8, 3, 1, 50))
+    assert rep.passed and rep.passes == 3
+    info = steps.cache_info()
+    assert (info.misses, info.hits) == (1, 5)
 
 
 def test_blocked_and_flat_kernels_agree_on_a_real_compound(monkeypatch):

@@ -2,9 +2,12 @@
 
 from __future__ import annotations
 
+import json
+
 import pytest
 
 from minordet import identities, oracle
+from minordet.cli import main
 from minordet.exactmat import det_bareiss, evaluate_matrix
 from minordet.identities import (
     THEOREM_CONSTRAINTS,
@@ -233,6 +236,48 @@ def test_griolv_reports_a_wrong_divisor(monkeypatch):
     rep = check_griolv_k2(4, trials=10, seed=1, bound=20)
     assert not rep.passed
     assert rep.witness == {"problem": "divisibility", "evidence": "pointwise", "trial": 1}
+
+
+def test_griolv_reports_a_wrong_entry_ahead_of_divisibility(monkeypatch):
+    # compound entry ({1, 3}, {2, 4}) off by one, in the symbolic compound and in every fuzzed W
+    original = oracle.compound_minor_products
+
+    def perturbed(a, b, k):
+        compound = original(a, b, k)
+        i, j = compound.family.index((1, 3)), compound.family.index((2, 4))
+        compound.matrix.entries[i * len(compound.family) + j] += 1
+        return compound
+
+    monkeypatch.setattr(oracle, "compound_minor_products", perturbed)
+    assert not oracle.divisibility("griolv", 4, 2, 10, 1, 20).passed  # n = 4 fuzzes the perturbed W
+    rep = check_griolv_k2(4, trials=10, seed=1, bound=20)
+    assert not rep.passed
+    assert rep.witness == {"row_set": [1, 3], "col_set": [2, 4], "problem": "entry"}
+
+
+def test_fuzz_sylvester_reports_its_first_failure(monkeypatch, capsys):
+    # an identity off by one on every draw: trial 0 is the witness, and the fuzz verb exits 1
+    original = oracle.power_identity
+
+    def off_by_one(a, k):
+        lhs, rhs = original(a, k)
+        return lhs, rhs + 1
+
+    monkeypatch.setattr(oracle, "power_identity", off_by_one)
+    plan = FuzzPlan("sylv", 3, 2, trials=4, seed=5, bound=25)
+    rep = fuzz_sylvester(plan)
+    assert (rep.passes, rep.failures, rep.passed) == (0, 4, False)
+    assert list(rep.first_failure) == ["trial", "a", "lhs", "rhs"]
+    a, _ = random_instance(plan, 0)
+    assert rep.first_failure["trial"] == 0 and rep.first_failure["a"] == a.row_list()
+    assert rep.first_failure["rhs"] == rep.first_failure["lhs"] + 1
+    rc = main([
+        "fuzz", "--theorem", "sylv", "--n", "3", "--k", "2",
+        "--trials", "4", "--seed", "5", "--bound", "25", "--json",
+    ])
+    payload = json.loads(capsys.readouterr().out)
+    assert rc == 1
+    assert payload["failures"] == 4 and payload["first_failure"] == rep.first_failure
 
 
 def test_report_json_shape():
