@@ -295,7 +295,6 @@ def det_bareiss(a: MatrixExpr) -> int:
             lead = row_i[j]
             for l in range(j + 1, n):
                 row_i[l] = (pivot * row_i[l] - lead * row_j[l]) // prev
-            row_i[j] = 0
         prev = pivot
     return sign * m[n - 1][n - 1]
 

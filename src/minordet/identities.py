@@ -29,10 +29,6 @@ from itertools import combinations, product
 from .exactmat import MatrixExpr, bordered_minors, det, det_laplace
 from .polyring import Polynomial, PolyStats, VariableUniverse, _omit_none, exact_div
 
-CONSTRAINT_FLAGS = frozenset(
-    {"a_corner_zero", "b_corner_zero", "a_last_row_zero", "borders_one_a", "borders_one_b"}
-)
-
 # Each theorem's hypotheses on (A, B), shared by the symbolic checks and the fuzzing oracle.
 THEOREM_CONSTRAINTS = {
     "b0": frozenset({"b_corner_zero"}),
@@ -40,6 +36,7 @@ THEOREM_CONSTRAINTS = {
     "adb0": frozenset({"a_last_row_zero", "b_corner_zero"}),
     "griolv": frozenset({"a_corner_zero", "borders_one_a", "b_corner_zero", "borders_one_b"}),
 }
+CONSTRAINT_FLAGS = frozenset().union(*THEOREM_CONSTRAINTS.values())
 
 SYMBOLIC_N_LIMIT = 3
 

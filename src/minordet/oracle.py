@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import random
 import time
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
 from itertools import combinations, product
 
 from .exactmat import MatrixExpr, det_bareiss, det_mod, matmul
@@ -122,15 +122,9 @@ class FuzzReport:
     note: str | None = None
 
     def to_json_dict(self) -> dict:
-        p = self.plan
         return _omit_none(
             {
-                "theorem": p.theorem,
-                "n": p.n,
-                "k": p.k,
-                "trials": p.trials,
-                "seed": p.seed,
-                "bound": p.bound,
+                **asdict(self.plan),
                 "passes": self.passes,
                 "failures": self.failures,
                 "first_failure": self.first_failure,
@@ -185,15 +179,12 @@ def _tally(plan: FuzzPlan, failure_at) -> FuzzReport:
     return FuzzReport(plan=plan, passes=passes, failures=failures, passed=not failures, first_failure=first)
 
 
-def _divides_det(d: int, w: MatrixExpr) -> tuple[bool, int | None]:
-    """(d | det(w), det(w)), where 0 divides only 0.
-
-    From MOD_DET_MIN_ROWS rows and d != 0 the verdict is taken mod |d|, and det(w), not formed, is None.
-    """
+def _divides_det(d: int, w: MatrixExpr) -> bool:
+    """d | det(w), where 0 divides only 0; from MOD_DET_MIN_ROWS rows and d != 0, taken mod |d|."""
     if d and w.rows >= MOD_DET_MIN_ROWS:
-        return det_mod(w, abs(d)) == 0, None
+        return det_mod(w, abs(d)) == 0
     det_w = det_bareiss(w)
-    return (det_w == 0 if d == 0 else det_w % d == 0), det_w
+    return det_w == 0 if d == 0 else det_w % d == 0
 
 
 def _run_divisibility(plan: FuzzPlan, apply_constraints: bool) -> FuzzReport:
@@ -204,14 +195,13 @@ def _run_divisibility(plan: FuzzPlan, apply_constraints: bool) -> FuzzReport:
         a, b = random_instance(plan, t, apply_constraints)
         w = compound_minor_products(a, b, plan.k).matrix
         d = forced_divisor(plan.theorem, a, b)
-        divides, det_w = _divides_det(d, w)
-        if divides:
+        if _divides_det(d, w):
             return None
         return lambda: {
             "trial": t,
             "a": a.row_list(),
             "b": b.row_list(),
-            "det_w": det_bareiss(w) if det_w is None else det_w,
+            "det_w": det_bareiss(w),
             "divisor": d,
         }
 

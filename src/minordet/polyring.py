@@ -226,16 +226,12 @@ class Polynomial:
     def __pow__(self, exponent: int):
         if not isinstance(exponent, int) or exponent < 0:
             raise ValueError("exponent must be a nonnegative integer")
-        result = None  # starting from the base, not from one, saves a product (det ** 1 in chio)
-        base = self
-        e = exponent
-        while e:
-            if e & 1:
-                result = base if result is None else result * base
-            e >>= 1
-            if e:
-                base = base * base
-        return Polynomial.one(self.universe) if result is None else result
+        if not exponent:
+            return Polynomial.one(self.universe)
+        result = self  # repeated products from the base, so det ** 1 (chio) takes none
+        for _ in range(exponent - 1):
+            result = result * self
+        return result
 
     def __bool__(self):
         return bool(self.terms)

@@ -307,7 +307,7 @@ def test_quotient_degenerate_sizes():
     assert rep.divisible and rep.quotient_stats.monomials == 0
 
 
-def test_quotient_force_and_validation():
+def test_quotient_validation():
     with pytest.raises(ValueError):
         quotient("x0", 1, 1)
     with pytest.raises(ValueError):
