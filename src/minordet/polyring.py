@@ -19,12 +19,15 @@ Large term maps are worked on block by block, as a dict get+set costs about
 150 ns at 2 000 entries and 650 ns at 200 000.  A term's block key,
 `m >> 8 * (nvars - BLOCK_VARS)`, holds the first BLOCK_VARS exponents; no
 byte carries, so key(m1 + m2) = key(m1) + key(m2), and a product adds each
-block pair into the one block its key sum names.  Division is long division
-over block keys, with coefficients in the other variables.  It takes the
-blocks in descending key order, which is descending lex order, and divides
-each by the divisor's lead block alone, in a heap; the quotient block found
-there times each lower divisor block is one block product, subtracted from
-the lower block its key sum names.
+block pair into the one block its key sum names.  A product built that way
+stays in its blocks: the next product and `exact_div` take them as they are,
+and the first read of `terms` joins them into one map and drops them.
+Division is long division over block keys, with coefficients in the other
+variables.  It takes the blocks in descending key order, which is descending
+lex order, and divides each by the divisor's lead block alone, walking the
+block's nonzero terms sorted once, descending; the quotient block found there
+times each lower divisor block is one block product, subtracted from the
+lower block its key sum names.
 
 A polynomial is built only by `Polynomial.variable` and `constant` (with
 `zero` and `one`) and by ring operations; `Polynomial(...)` itself raises
@@ -37,7 +40,7 @@ import math
 import re
 from dataclasses import dataclass
 from functools import reduce
-from heapq import heapify, heappop, heappush
+from heapq import heappop, heappush
 from typing import Iterable, Mapping
 
 EXPONENT_LIMIT = 127
@@ -288,6 +291,30 @@ class Polynomial:
         return f"<Polynomial {len(self.terms)} terms>"
 
 
+_TERMS = Polynomial.terms  # the slot itself, which _Blocked's `terms` shadows
+
+
+class _Blocked(Polynomial):
+    """A product kept in its blocks: the `terms` slot holds [(block key, block
+    polynomial)], none of them zero, and the first read of `terms` joins them,
+    freeing each as it goes, and makes this a plain Polynomial."""
+
+    __slots__ = ()
+
+    def _join(self) -> dict[int, int]:
+        parts, joined = _TERMS.__get__(self), {}
+        while parts:
+            joined.update(parts.pop()[1].terms)
+        self.__class__ = Polynomial
+        self.terms = joined
+        return joined
+
+    terms = property(_join, _TERMS.__set__)
+
+    def __bool__(self):
+        return bool(_TERMS.__get__(self))
+
+
 def accumulate_product(acc: dict[int, int], p: Polynomial, q: Polynomial, negate: bool = False) -> None:
     """acc += p*q (or -= with negate), as raw term maps; zeros are kept.
 
@@ -318,44 +345,58 @@ def _block_shift(universe: VariableUniverse, operands) -> int | None:
     """Shift from a packed monomial to its block key; None keeps term maps flat."""
     if universe.nvars > 2 * BLOCK_VARS:
         for x in operands:
-            if len(x.terms) >= BLOCK_MIN_TERMS:
+            if type(x) is _Blocked or len(x.terms) >= BLOCK_MIN_TERMS:
                 return 8 * (universe.nvars - BLOCK_VARS)
     return None
 
 
-def _blocks(terms: dict[int, int], shift: int) -> dict[int, dict[int, int]]:
-    out: dict[int, dict[int, int]] = {}
-    for m, c in terms.items():
-        out.setdefault(m >> shift, {})[m] = c
-    return out
+def _parts(x: Polynomial, shift: int) -> list[tuple[int, Polynomial]]:
+    """x as [(block key, block polynomial)]: a blocked product's own list, or a split."""
+    if type(x) is _Blocked:
+        return _TERMS.__get__(x)
+    blocks: dict[int, dict[int, int]] = {}
+    for m, c in x.terms.items():
+        blocks.setdefault(m >> shift, {})[m] = c
+    return [(k, Polynomial._from_clean(x.universe, t)) for k, t in blocks.items()]
 
 
 def sums_of_products(universe: VariableUniverse, ps: list, qs: list, sums) -> list[Polynomial]:
     """Per sum, the sum of ps[i]*qs[j] (negated where negate) over its (i, j, negate)
-    triples; blocked once an operand is large, each split living for one product."""
+    triples.  Once an operand is large or blocked, each operand is taken in blocks,
+    a flat one split once per call, and each sum is returned in its blocks."""
     shift = _block_shift(universe, ps + qs)
-    out = []
-    for pairs in sums:
-        if shift is None:
+    out: list[Polynomial] = []
+    if shift is None:
+        for pairs in sums:
             acc: dict[int, int] = {}
             for i, j, negate in pairs:
                 accumulate_product(acc, ps[i], qs[j], negate)
             out.append(Polynomial._from_clean(universe, {m: c for m, c in acc.items() if c}))
-            continue
+        return out
+    p_parts, q_parts = ([_parts(x, shift) for x in xs] for xs in (ps, qs))
+    for pairs in sums:
         blocks: dict[int, dict[int, int]] = {}
         for i, j, negate in pairs:
-            p_blocks, q_blocks = (
-                [(k, Polynomial._from_clean(universe, t)) for k, t in _blocks(x.terms, shift).items()]
-                for x in (ps[i], qs[j])
-            )
-            for kp, bp in p_blocks:
-                for kq, bq in q_blocks:
+            for kp, bp in p_parts[i]:
+                for kq, bq in q_parts[j]:
                     accumulate_product(blocks.setdefault(kp + kq, {}), bp, bq, negate)
-        acc = {}
-        while blocks:  # join, freeing each block as it goes
-            acc.update((m, c) for m, c in blocks.popitem()[1].items() if c)
-        out.append(Polynomial._from_clean(universe, acc))
+        for block in blocks.values():  # zeros are rare: deleting beats copying
+            for m in [m for m, c in block.items() if not c]:
+                del block[m]
+        parts = [(key, Polynomial._from_clean(universe, block)) for key, block in blocks.items() if block]
+        out.append(_Blocked._from_clean(universe, parts))
     return out
+
+
+def _descending(keys: list[int], added: list[int]):
+    """keys, sorted descending, merged with the heap `added` of negated keys,
+    into which the caller pushes only keys below the one last yielded."""
+    for m in keys:
+        while added and -added[0] > m:
+            yield -heappop(added)
+        yield m
+    while added:
+        yield -heappop(added)
 
 
 def exact_div(f: Polynomial, d: Polynomial) -> Polynomial | None:
@@ -363,49 +404,47 @@ def exact_div(f: Polynomial, d: Polynomial) -> Polynomial | None:
 
     Greedy cancellation of the lex-leading term; exactness of every
     intermediate coefficient division is required, matching divisibility in
-    Z[x1..xm].  From BLOCK_MIN_TERMS dividend terms on, this is long division
-    over block keys: the remainder's blocks are taken in descending key
-    order, each is divided by d's lead block alone in a heap, and the
-    quotient block found there, times each lower block of d, is subtracted
-    by `accumulate_product` into the block its key sum names.  A block whose
-    key minus the lead key borrows must cancel to zero.  An exact quotient
-    has deg q + deg d <= EXPONENT_LIMIT in every variable, so a block product
-    that would overflow means None, not OverflowError.  A zero divisor
-    raises ZeroDivisionError.
+    Z[x1..xm].  From BLOCK_MIN_TERMS dividend terms on, or on a dividend kept
+    in blocks, this is long division over block keys: the remainder's blocks
+    (copies of a blocked dividend's own) are taken in descending key order,
+    and each is divided by d's lead block alone, walking its nonzero terms
+    sorted once, descending, with a side heap for only the keys that the
+    subtraction adds.  The quotient block found there, times each lower
+    block of d, is subtracted by `accumulate_product` into the block its key
+    sum names.  A block whose key minus the lead key borrows must cancel to
+    zero.  An exact quotient has deg q + deg d <= EXPONENT_LIMIT in every
+    variable, so a block product that would overflow means None, not
+    OverflowError.  A zero divisor raises ZeroDivisionError.
     """
     if not isinstance(d, Polynomial) or not isinstance(f, Polynomial):
         raise TypeError("exact_div expects polynomials")
     if not f.universe.compatible(d.universe):
         raise UniverseMismatch("polynomials over different universes")
-    if not d.terms:
+    if not d:
         raise ZeroDivisionError("polynomial division by zero")
-    if not f.terms:
+    if not f:
         return Polynomial.zero(f.universe)
     u = f.universe
     guard = u._guard_mask
     lead_d = max(d.terms)
     lead_c = d.terms[lead_d]
     if (shift := _block_shift(u, (f,))) is None:
-        lead_key, lead_items, lower, rem, keys = 0, list(d.terms.items()), (), {0: dict(f.terms)}, [0]
+        lead_key, lead, lower, rem, keys = 0, d, (), {0: dict(f.terms)}, [0]
     else:  # the divisor by block key, descending: the first group holds lead_d
-        (lead_key, lead), *lower = sorted(
-            ((k, Polynomial._from_clean(u, g)) for k, g in _blocks(d.terms, shift).items()), reverse=True
-        )
-        lead_items = list(lead.terms.items())
-        rem = _blocks(f.terms, shift)
+        (lead_key, lead), *lower = sorted(_parts(d, shift), reverse=True)
+        rem = {k: dict(p.terms) for k, p in _parts(f, shift)}
         keys = sorted(-k for k in rem)  # a sorted list is a heap
+    lead_items = [(md, cd) for md, cd in lead.terms.items() if md != lead_d]  # it would only cancel m: popped
     quotient: dict[int, int] = {}
     while keys:
         key = -heappop(keys)
         cur = rem.pop(key)
-        heap = [-m for m, c in cur.items() if c]
-        heapify(heap)
+        added: list[int] = []
         q_block: dict[int, int] = {}
-        while heap:
-            m = -heappop(heap)
-            c = cur.get(m)
+        for m in _descending(sorted([m for m, c in cur.items() if c], reverse=True), added):
+            c = cur.pop(m, None)
             if not c:
-                continue  # stale heap entry
+                continue  # cancelled since the sort
             t = m - lead_d
             if t < 0 or (t & guard):  # as is every term of a block whose key borrows
                 return None
@@ -419,8 +458,8 @@ def exact_div(f: Polynomial, d: Polynomial) -> Polynomial | None:
                 nc = (old or 0) - cd * qc
                 if nc:
                     cur[mm] = nc
-                    if not old:  # a zero from before the block was reached is not in the heap
-                        heappush(heap, -mm)
+                    if not old:  # maybe not among the sorted keys; a repeat pops nothing
+                        heappush(added, -mm)
                 elif old is not None:
                     del cur[mm]
         if q_block and lower:

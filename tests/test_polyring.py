@@ -9,6 +9,7 @@ integers.  exact_div is validated by recomposition.
 from __future__ import annotations
 
 import copy
+import heapq
 import itertools
 import math
 import pickle
@@ -457,3 +458,97 @@ def test_one_term_products_match_the_flat_loop(blocked):
         V[0] ** 64 * (V[0] ** 64 + V[5])
     with pytest.raises(OverflowError):
         (V[0] ** 64 + V[5]) * V[0] ** 64
+
+
+def test_blocked_product_keeps_its_blocks_until_terms_is_read(blocked, monkeypatch):
+    rng, polys = blocked
+    several = [p for p in polys if len(p.terms) > 1]  # a one-term factor takes the one-pass product
+    pairs = [rng.sample(several, 2) for _ in range(40)]
+    products = [f * g for f, g in pairs]
+    zero = sums_of_products(U12, [V[0]], [V[5]], [((0, 0, False), (0, 0, True))])[0]  # v0 v5 - v0 v5
+    assert all(type(p) is polyring._Blocked for p in products + [zero])
+    assert all(products) and not zero
+    assert all(type(p) is polyring._Blocked for p in products + [zero])  # bool did not join
+    assert exact_div(zero, V[1]) == 0 and type(zero) is polyring._Blocked
+    assert zero.terms == {}
+    monkeypatch.setattr(polyring, "BLOCK_MIN_TERMS", 10**9)
+    for p, (f, g) in zip(products, pairs):
+        assert p.terms == (f * g).terms == _flat_product_terms([(f, g, False)])
+        assert type(p) is Polynomial  # joined once, then a plain slot read
+    # a product of blocked operands takes their blocks as they are
+    f, g, h = (several[0] + several[1]) * several[2], several[3] * several[4], several[5]
+    monkeypatch.setattr(polyring, "BLOCK_MIN_TERMS", 1)
+    bf, bg = (several[0] + several[1]) * several[2], several[3] * several[4]
+    got = sums_of_products(U12, [bf, h], [bg, bf], [((0, 0, False), (1, 1, True))])[0]
+    assert type(bf) is type(bg) is type(got) is polyring._Blocked
+    assert got.terms == _flat_product_terms([(f, g, False), (h, f, True)])
+
+
+def test_unjoined_blocked_product_pickles_copies_and_queries(blocked):
+    rng, polys = blocked
+    f, g = polys[0] + polys[1], polys[2] - polys[3]
+    flat = Polynomial._from_clean(U12, _flat_product_terms([(f, g, False)]))
+    assert len({m >> 8 * (U12.nvars - polyring.BLOCK_VARS) for m in flat.terms}) > 1
+    pt = {name: rng.randint(-3, 3) for name in U12.names}
+    for use, want in (
+        (lambda p: pickle.loads(pickle.dumps(p)), flat),
+        (copy.deepcopy, flat),
+        (copy.copy, flat),
+        (Polynomial.stats, flat.stats()),
+        (lambda p: p.evaluate(pt), flat.evaluate(pt)),
+        (lambda p: p == flat, True),
+    ):
+        p = f * g
+        assert type(p) is polyring._Blocked
+        assert use(p) == want
+        assert p.terms == flat.terms
+
+
+def test_exact_div_takes_a_blocked_dividend_without_joining_it(blocked):
+    rng, polys = blocked
+    several = [p for p in polys if len(p.terms) > 1]
+    for _ in range(20):
+        d, q = rng.sample(several, 2)
+        f = d * q
+        assert type(f) is polyring._Blocked
+        assert exact_div(f, d) == q
+        assert exact_div(f, d) == q  # the remainder was a copy of f's blocks
+        assert type(f) is polyring._Blocked  # neither split nor joined
+        assert f.terms == _flat_product_terms([(d, q, False)])
+
+
+def test_exact_div_side_heap_holds_keys_the_subtraction_adds(monkeypatch):
+    # dividing x^2 - y^2 by x + y subtracts x (x + y), which adds x y, a key x^2 - y^2
+    # lacks: the sorted walk reaches it only through the side heap
+    pushed = []
+    monkeypatch.setattr(polyring, "heappush", lambda heap, key: (pushed.append(-key), heapq.heappush(heap, key)))
+    f = X**2 - Y**2
+    assert (X * Y).terms.keys() - f.terms.keys()
+    assert exact_div(f, X + Y) == X - Y
+    assert pushed == [next(iter((X * Y).terms))]
+    # 2 x^2 over 2 x + y: subtracting x (2 x + y) adds -x y, whose coefficient 2 does not divide
+    pushed.clear()
+    assert exact_div(2 * X**2, 2 * X + Y) is None
+    assert pushed == [next(iter((X * Y).terms))]
+    assert exact_div(X**2 + X * Z, X + Y) is None  # refused at y^2, a key the walk added
+    assert exact_div(X**3 - Y**3, X - Y) == X**2 + X * Y + Y**2
+
+
+def test_blocked_exact_div_walks_past_zeros_a_lower_block_product_left(blocked, monkeypatch):
+    v0, v5, v6, v7 = V[0], V[5], V[6], V[7]
+    d = v0 * v6 + v0 * v7 + v5  # lead block v0 (v6 + v7), lower block v5
+    # q's v0 v6 v7, times v5, cancels f's v0 v5 v6 v7 to a zero in the v0 block, before
+    # that block is sorted; subtracting v5 v6 times v0 v7 there brings it back as -1,
+    # from which the walk takes q's -v5 v7
+    q = v0 * v6 * v7 + v5 * v6 - v5 * v7
+    f = d * q
+    assert (v0 * v5 * v6 * v7).terms.keys() <= f.terms.keys()
+    for threshold in (1, 10**9):  # blocked, then the flat loop
+        monkeypatch.setattr(polyring, "BLOCK_MIN_TERMS", threshold)
+        assert exact_div(f, d) == q
+        assert exact_div(f + v0 * v5 * v7, d) is None
+        assert exact_div(f - v5**2, d) is None
+    # zeros left in a block that nothing brings back are never walked
+    monkeypatch.setattr(polyring, "BLOCK_MIN_TERMS", 1)
+    q = v0 + v6
+    assert exact_div(d * q, d) == q
