@@ -82,7 +82,7 @@ def criterion_1():
     """Generic compound determinant at n=3, k=2: 110268 monomials in 32 variables."""
     a, b, universe = build_generic(GenericSpec(3))
     det_w = det_laplace(compound_minor_products(a, b, 2).matrix)
-    count = len(det_w.terms)
+    count = len(det_w)
     return count == 110268 and universe.nvars == 32, f"monomials={count} vars={universe.nvars}"
 
 

@@ -290,7 +290,7 @@ def quotient(
     unconstrained = None
     if unconstrained_count:
         ga, gb, _ = build_generic(GenericSpec(n, frozenset()))
-        unconstrained = len(det_laplace(compound_minor_products(ga, gb, k).matrix).terms)
+        unconstrained = len(det_laplace(compound_minor_products(ga, gb, k).matrix))
     return QuotientReport(
         mode=mode,
         n=n,

@@ -19,9 +19,12 @@ Large term maps are worked on block by block, as a dict get+set costs about
 150 ns at 2 000 entries and 650 ns at 200 000.  A term's block key,
 `m >> 8 * (nvars - BLOCK_VARS)`, holds the first BLOCK_VARS exponents; no
 byte carries, so key(m1 + m2) = key(m1) + key(m2), and a product adds each
-block pair into the one block its key sum names.  A product built that way
-stays in its blocks: the next product and `exact_div` take them as they are,
-and the first read of `terms` joins them into one map and drops them.
+block pair into the one block its key sum names.  Over more than
+2 * BLOCK_VARS variables, a sum of products is built in blocks when an operand
+is blocked or its size bound, (products per sum) * max |p| * max |q|, reaches
+BLOCK_MIN_TERMS (`_block_shift`).  The next product, `* monomial`, `==`,
+`bool`, `len`, `stats`, `evaluate` and `exact_div` keep it in its blocks;
+only `terms` (so `+`, `-` and pickling) joins them into one map.
 Division is long division over block keys, with coefficients in the other
 variables.  It takes the blocks in descending key order, which is descending
 lex order, and divides each by the divisor's lead block alone, walking the
@@ -31,7 +34,7 @@ lower block its key sum names.
 
 A polynomial is built only by `Polynomial.variable` and `constant` (with
 `zero` and `one`) and by ring operations; `Polynomial(...)` itself raises
-TypeError.  Its `repr` gives the term count; there is no text form.
+TypeError.  `len` and `repr` give the term count; there is no text form.
 """
 
 from __future__ import annotations
@@ -41,6 +44,7 @@ import re
 from dataclasses import dataclass
 from functools import reduce
 from heapq import heappop, heappush
+from operator import or_
 from typing import Iterable, Mapping
 
 EXPONENT_LIMIT = 127
@@ -49,7 +53,9 @@ EXPONENT_LIMIT = 127
 # 4 leading variables expanded it in 1.75 s, against 2.54, 2.03, 1.99 and 2.74 s for
 # 2, 6, 8 and 12 (4.0 s flat), and divided it in 1.0-1.25 s at every width (1.6 s flat).
 BLOCK_VARS = 4
-BLOCK_MIN_TERMS = 4096  # same sweep: 1.85-1.90 s to expand from 256 to 4 096, 2.26 s at 16 384
+# Met by a sum's size bound or by a dividend's term count (the same sweep, as an operand
+# size: 1.85-1.90 s to expand from 256 to 4 096, 2.26 s at 16 384).
+BLOCK_MIN_TERMS = 4096
 
 _NAME_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*\Z")
 
@@ -164,6 +170,12 @@ class Polynomial:
             self._key_or = v
         return v
 
+    def _term_maps(self) -> list[dict[int, int]]:  # or a blocked product's block maps, unjoined
+        return [self.terms]
+
+    def __len__(self):
+        return sum(map(len, self._term_maps()))
+
     def _coerce(self, other) -> "Polynomial | None":
         if isinstance(other, Polynomial):
             if not self.universe.compatible(other.universe):
@@ -204,7 +216,7 @@ class Polynomial:
             return NotImplemented
         return other.__add__(-self)
 
-    def __mul__(self, other):
+    def __mul__(self, other):  # both flat: a blocked operand takes _Blocked.__mul__ or __rmul__
         if isinstance(other, int):
             if not other:
                 return Polynomial.zero(self.universe)
@@ -218,7 +230,7 @@ class Polynomial:
         if len(one.terms) == 1 and not (one._monomial_or | many._monomial_or) & self.universe._safe_mask:
             ((m1, c1),) = one.terms.items()  # a monomial times a polynomial, in one pass
             return Polynomial._from_clean(self.universe, {m1 + m: c1 * c for m, c in many.terms.items()})
-        if len(self.terms) < BLOCK_MIN_TERMS > len(other.terms):  # the common case, without a call
+        if _block_shift(self.universe, [self], [other]) is None:  # the common case, without building a sum
             out: dict[int, int] = {}
             accumulate_product(out, self, other)
             return Polynomial._from_clean(self.universe, {m: c for m, c in out.items() if c})
@@ -240,15 +252,16 @@ class Polynomial:
         return bool(self.terms)
 
     def __eq__(self, other):
-        if isinstance(other, Polynomial):
-            if not self.universe.compatible(other.universe):
-                return False
-            return self.terms == other.terms
         if isinstance(other, int):
-            if not other:
-                return not self.terms
-            return self.terms == {0: other}
-        return NotImplemented
+            other = Polynomial.constant(self.universe, other)
+        if not isinstance(other, Polynomial):
+            return NotImplemented
+        if not self.universe.compatible(other.universe):
+            return False
+        if type(self) is _Blocked or type(other) is _Blocked:  # block by block, neither joined
+            mine, theirs = (dict(_parts(x, 8 * (self.universe.nvars - BLOCK_VARS))) for x in (self, other))
+            return mine.keys() == theirs.keys() and all(p.terms == theirs[k].terms for k, p in mine.items())
+        return self.terms == other.terms
 
     __hash__ = None  # mutable dict inside; polynomials are not dict keys
 
@@ -256,17 +269,19 @@ class Polynomial:
 
     def total_degree(self) -> int | None:
         """Max over terms of the exponent sum; None for the zero polynomial."""
-        if not self.terms:
+        if not self:
             return None
-        nb = self.universe.nvars
-        return max(sum(m.to_bytes(nb, "big")) for m in self.terms)
+        nb, maps = self.universe.nvars, self._term_maps()
+        if sum(self._monomial_or.to_bytes(nb, "big")) < 255:  # 256 = 1 mod 255, and no byte sum wraps
+            return max(max([m % 255 for m in t]) for t in maps)
+        return max(sum(m.to_bytes(nb, "big")) for t in maps for m in t)
 
     def content(self) -> int:
         """Nonnegative gcd of the coefficients; 0 for the zero polynomial."""
-        return reduce(math.gcd, map(abs, self.terms.values()), 0)
+        return math.gcd(*[math.gcd(*t.values()) for t in self._term_maps()])
 
     def stats(self) -> PolyStats:
-        return PolyStats(len(self.terms), self.total_degree(), self.content())
+        return PolyStats(len(self), self.total_degree(), self.content())
 
     def evaluate(self, assignment: Mapping[str, int]) -> int:
         """Substitute integers for variables; every occurring variable is required."""
@@ -279,7 +294,7 @@ class Polynomial:
             values.append(assignment.get(name))
         total = 0
         nb = u.nvars
-        for m, c in self.terms.items():
+        for m, c in (item for t in self._term_maps() for item in t.items()):
             v = c
             for i, e in enumerate(m.to_bytes(nb, "big")):
                 if e:
@@ -288,7 +303,7 @@ class Polynomial:
         return total
 
     def __repr__(self):
-        return f"<Polynomial {len(self.terms)} terms>"
+        return f"<Polynomial {len(self)} terms>"
 
 
 _TERMS = Polynomial.terms  # the slot itself, which _Blocked's `terms` shadows
@@ -313,6 +328,21 @@ class _Blocked(Polynomial):
 
     def __bool__(self):
         return bool(_TERMS.__get__(self))
+
+    def _term_maps(self):
+        return [p.terms for _, p in _TERMS.__get__(self)]
+
+    _monomial_or = property(lambda self: reduce(or_, [p._monomial_or for _, p in _TERMS.__get__(self)], 0))
+
+    def __mul__(self, other):  # also other * self, as a subclass's reflected method goes first
+        other, u = self._coerce(other), self.universe
+        one = type(other) is Polynomial and len(other) == 1  # a monomial, which its OR packs
+        if one and not (other._monomial_or | self._monomial_or) & u._safe_mask:
+            k1 = other._monomial_or >> 8 * (u.nvars - BLOCK_VARS)  # its block key; keys add
+            return _Blocked._from_clean(u, [(k + k1, p * other) for k, p in _TERMS.__get__(self)])
+        return NotImplemented if other is None else sums_of_products(u, [self], [other], [((0, 0, False),)])[0]
+
+    __rmul__ = __mul__
 
 
 def accumulate_product(acc: dict[int, int], p: Polynomial, q: Polynomial, negate: bool = False) -> None:
@@ -341,13 +371,23 @@ def accumulate_product(acc: dict[int, int], p: Polynomial, q: Polynomial, negate
             acc[m] = get(m, 0) + c1 * c2
 
 
-def _block_shift(universe: VariableUniverse, operands) -> int | None:
-    """Shift from a packed monomial to its block key; None keeps term maps flat."""
-    if universe.nvars > 2 * BLOCK_VARS:
-        for x in operands:
-            if type(x) is _Blocked or len(x.terms) >= BLOCK_MIN_TERMS:
+def _block_shift(universe: VariableUniverse, ps, qs=(), sums=None) -> int | None:
+    """Shift from a packed monomial to its block key, or None to keep term maps flat, by the
+    module docstring's rule for sums of ps[i] * qs[j] (one when sums is None; or a dividend)."""
+    if universe.nvars <= 2 * BLOCK_VARS:
+        return None
+    bound = 1
+    for xs in (ps, qs) if qs else (ps,):
+        top = 0
+        for x in xs:
+            if type(x) is _Blocked:  # tested first: len(x.terms) would join it
                 return 8 * (universe.nvars - BLOCK_VARS)
-    return None
+            if len(x.terms) > top:
+                top = len(x.terms)
+        bound *= top
+    if sums is not None and 0 < bound < BLOCK_MIN_TERMS:  # products per sum matter only here
+        bound *= max(map(len, sums)) if sums else 0
+    return 8 * (universe.nvars - BLOCK_VARS) if bound >= BLOCK_MIN_TERMS else None
 
 
 def _parts(x: Polynomial, shift: int) -> list[tuple[int, Polynomial]]:
@@ -362,9 +402,9 @@ def _parts(x: Polynomial, shift: int) -> list[tuple[int, Polynomial]]:
 
 def sums_of_products(universe: VariableUniverse, ps: list, qs: list, sums) -> list[Polynomial]:
     """Per sum, the sum of ps[i]*qs[j] (negated where negate) over its (i, j, negate)
-    triples.  Once an operand is large or blocked, each operand is taken in blocks,
+    triples.  Once `_block_shift` picks blocks, each operand is taken in blocks,
     a flat one split once per call, and each sum is returned in its blocks."""
-    shift = _block_shift(universe, ps + qs)
+    shift = _block_shift(universe, ps, qs, sums)
     out: list[Polynomial] = []
     if shift is None:
         for pairs in sums:

@@ -424,3 +424,25 @@ def test_blocked_and_flat_kernels_agree_on_a_real_compound(monkeypatch):
     blocked, flat = runs
     assert blocked == flat
     assert (len(flat[0]), len(flat[2])) == (31410, 2070)
+
+
+def test_b0_n3_k2_quotient_keeps_det_w_in_blocks(monkeypatch):
+    # at the default threshold the last Laplace level's size bound, 3 products of up to
+    # 24 x 952 terms, builds det W in blocks, and nothing in quotient joins it
+    a, b, _ = build_generic(GenericSpec(3, THEOREM_CONSTRAINTS["b0"]))
+    assert type(det_laplace(compound_minor_products(a, b, 2).matrix)) is polyring._Blocked
+    joins = []
+    join = polyring._Blocked.terms
+
+    def counting_join(self):
+        joins.append(len(self))
+        return join.fget(self)
+
+    monkeypatch.setattr(polyring._Blocked, "terms", property(counting_join, join.fset))
+    rep = quotient("b0", 3, 2)
+    assert rep.divisible and joins == []
+    assert (rep.detw_stats.monomials, rep.detw_stats.degree) == (31410, 18)
+    assert (rep.quotient_stats.monomials, rep.quotient_stats.degree) == (2070, 14)
+    assert rep.detw_stats.content == rep.quotient_stats.content == 1
+    # the counter sees a join when there is one
+    assert len(det_laplace(compound_minor_products(a, b, 2).matrix).terms) == 31410 and joins == [31410]

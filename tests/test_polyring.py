@@ -209,6 +209,30 @@ def test_content_matches_direct_gcd_and_gauss():
         assert (f * g).content() == f.content() * g.content()
 
 
+def _degree_by_bytes(p):
+    return max((sum(m.to_bytes(p.universe.nvars, "big")) for m in p.terms), default=None)
+
+
+def _content_by_reduce(p):
+    return reduce(math.gcd, map(abs, p.terms.values()), 0)
+
+
+def test_fast_degree_and_content_match_the_byte_sum_and_reduce_loops():
+    rng = random.Random(109)
+    polys = [_rand_poly(rng, U) for _ in range(150)] + [_sparse_poly(rng, 8) for _ in range(50)]
+    polys += [Polynomial.zero(U), -6 * X**2 * Y + 9 * Z - 15, Polynomial.constant(U, -4)]
+    # x^100 y^100 z^100 has degree 300 but its packed monomial is 45 mod 255: the OR's
+    # byte sum reaches 255, so the byte-sum loop must decide, here and with lower terms
+    wide = X**100 * Y**100 * Z**100
+    polys += [wide, -2 * wide + 4 * X**100 * Y**100, X**100 * Y**100 + 6 * Z**100]
+    assert next(iter(wide.terms)) % 255 == 45
+    for p in polys:
+        assert p.total_degree() == _degree_by_bytes(p)
+        assert p.content() == _content_by_reduce(p)
+    assert [p.total_degree() for p in polys[-3:]] == [300, 300, 200]
+    assert (-6 * X**2 * Y + 9 * Z - 15).content() == 3
+
+
 def test_stats_fields():
     s = (3 * X**2 * Y - Z).stats()
     assert s == PolyStats(monomials=2, degree=3, content=1)
@@ -447,17 +471,27 @@ def test_exact_div_by_generic_det_a_in_blocks():
         assert exact_div(f - 3 * _monomial(B0, B0.unpack(m)), d) is None
 
 
+def _in_blocks(p):
+    """p as a blocked product (p times 1), built through sums_of_products."""
+    return sums_of_products(p.universe, [p], [Polynomial.one(p.universe)], [((0, 0, False),)])[0]
+
+
 def test_one_term_products_match_the_flat_loop(blocked):
     rng, polys = blocked
     big = reduce(lambda x, y: x + y, polys)
     assert len({m >> 8 * (U12.nvars - polyring.BLOCK_VARS) for m in big.terms}) > 1
     for one in (-3 * V[0] * V[7] ** 2, Polynomial.constant(U12, 5), V[11] ** 63):
-        assert (one * big).terms == _flat_product_terms([(one, big, False)])
-        assert (big * one).terms == _flat_product_terms([(one, big, False)])
-    with pytest.raises(OverflowError):
-        V[0] ** 64 * (V[0] ** 64 + V[5])
-    with pytest.raises(OverflowError):
-        (V[0] ** 64 + V[5]) * V[0] ** 64
+        want = _flat_product_terms([(one, big, False)])
+        assert (one * big).terms == (big * one).terms == want
+        blocked_big = _in_blocks(big)
+        products = [one * blocked_big, blocked_big * one]
+        assert type(blocked_big) is polyring._Blocked and {type(p) for p in products} == {polyring._Blocked}
+        assert [p.terms for p in products] == [want, want]
+    for high in (V[0] ** 64 + V[5], _in_blocks(V[0] ** 64 + V[5])):
+        with pytest.raises(OverflowError):
+            V[0] ** 64 * high
+        with pytest.raises(OverflowError):
+            high * V[0] ** 64
 
 
 def test_blocked_product_keeps_its_blocks_until_terms_is_read(blocked, monkeypatch):
@@ -552,3 +586,37 @@ def test_blocked_exact_div_walks_past_zeros_a_lower_block_product_left(blocked, 
     monkeypatch.setattr(polyring, "BLOCK_MIN_TERMS", 1)
     q = v0 + v6
     assert exact_div(d * q, d) == q
+
+
+def test_blocked_product_stays_blocked_under_monomials_comparison_and_stats(blocked):
+    rng, polys = blocked
+    f, g = polys[0] + polys[1], polys[2] - polys[3]
+    flat = Polynomial._from_clean(U12, _flat_product_terms([(f, g, False)]))
+    keys = {m >> 8 * (U12.nvars - polyring.BLOCK_VARS) for m in flat.terms}
+    assert len(keys) > 1
+    p, twin = f * g, f * g
+    # one block changed: a term of p's own doubled, so the block keys stay the same
+    m, c = next(iter(flat.terms.items()))
+    term = Polynomial._from_clean(U12, {m: c})
+    changed = sums_of_products(U12, [f, term], [g, Polynomial.one(U12)], [((0, 0, False), (1, 1, False))])[0]
+    zero = sums_of_products(U12, [f], [g], [((0, 0, False), (0, 0, True))])[0]
+    blocked = [p, twin, changed, zero]
+    assert all(type(x) is polyring._Blocked for x in blocked)
+    assert {k for k, _ in polyring._TERMS.__get__(changed)} == keys
+    mono = -3 * V[2] * V[9] ** 2
+    for one in (mono, Polynomial.constant(U12, 7), 7, -1):
+        for got in (p * one, one * p):
+            assert type(got) is polyring._Blocked
+            assert got == flat * one and flat * one == got
+    assert type(p * 0) is polyring._Blocked and p * 0 == 0 and not p * 0
+    assert p == twin and twin == p and p == flat and flat == p
+    assert p != changed and changed != p and flat != changed and changed != flat
+    assert p != flat + V[0] and flat + V[0] != p
+    assert p != 0 and zero == 0 and zero == Polynomial.zero(U12) and p != Polynomial.constant(U12, c)
+    assert p != _in_blocks(g) and p != Polynomial.variable(VariableUniverse(["x"]), "x")
+    assert bool(p) and not zero
+    assert p.stats() == flat.stats() and zero.stats() == Polynomial.zero(U12).stats()
+    assert (p.total_degree(), p.content()) == (_degree_by_bytes(flat), _content_by_reduce(flat))
+    assert len(p) == len(flat.terms) and repr(p) == repr(flat)
+    assert all(type(x) is polyring._Blocked for x in blocked)  # none of the above joined
+    assert changed.terms == {**flat.terms, m: 2 * c}
