@@ -21,7 +21,7 @@ Large term maps are worked on block by block, as a dict get+set costs about
 byte carries, so key(m1 + m2) = key(m1) + key(m2), and a product adds each
 block pair into the one block its key sum names.  Over more than
 2 * BLOCK_VARS variables, a sum of products is built in blocks when an operand
-is blocked or its size bound, (products per sum) * max |p| * max |q|, reaches
+is blocked or the product size bound, max |p| * max |q|, reaches
 BLOCK_MIN_TERMS (`_block_shift`).  The next product, `* monomial`, `==`,
 `bool`, `len`, `stats`, `evaluate` and `exact_div` keep it in its blocks;
 only `terms` (so `+`, `-` and pickling) joins them into one map.
@@ -53,7 +53,7 @@ EXPONENT_LIMIT = 127
 # 4 leading variables expanded it in 1.75 s, against 2.54, 2.03, 1.99 and 2.74 s for
 # 2, 6, 8 and 12 (4.0 s flat), and divided it in 1.0-1.25 s at every width (1.6 s flat).
 BLOCK_VARS = 4
-# Met by a sum's size bound or by a dividend's term count (the same sweep, as an operand
+# Met by a product's size bound or by a dividend's term count (the same sweep, as an operand
 # size: 1.85-1.90 s to expand from 256 to 4 096, 2.26 s at 16 384).
 BLOCK_MIN_TERMS = 4096
 
@@ -335,12 +335,10 @@ class _Blocked(Polynomial):
     _monomial_or = property(lambda self: reduce(or_, [p._monomial_or for _, p in _TERMS.__get__(self)], 0))
 
     def __mul__(self, other):  # also other * self, as a subclass's reflected method goes first
-        other, u = self._coerce(other), self.universe
-        one = type(other) is Polynomial and len(other) == 1  # a monomial, which its OR packs
-        if one and not (other._monomial_or | self._monomial_or) & u._safe_mask:
-            k1 = other._monomial_or >> 8 * (u.nvars - BLOCK_VARS)  # its block key; keys add
-            return _Blocked._from_clean(u, [(k + k1, p * other) for k, p in _TERMS.__get__(self)])
-        return NotImplemented if other is None else sums_of_products(u, [self], [other], [((0, 0, False),)])[0]
+        other = self._coerce(other)
+        if other is None:
+            return NotImplemented
+        return sums_of_products(self.universe, [self], [other], [((0, 0, False),)])[0]
 
     __rmul__ = __mul__
 
@@ -371,9 +369,9 @@ def accumulate_product(acc: dict[int, int], p: Polynomial, q: Polynomial, negate
             acc[m] = get(m, 0) + c1 * c2
 
 
-def _block_shift(universe: VariableUniverse, ps, qs=(), sums=None) -> int | None:
+def _block_shift(universe: VariableUniverse, ps, qs=()) -> int | None:
     """Shift from a packed monomial to its block key, or None to keep term maps flat, by the
-    module docstring's rule for sums of ps[i] * qs[j] (one when sums is None; or a dividend)."""
+    module docstring's rule for products ps[i] * qs[j] (or for a dividend ps[0] alone)."""
     if universe.nvars <= 2 * BLOCK_VARS:
         return None
     bound = 1
@@ -385,8 +383,6 @@ def _block_shift(universe: VariableUniverse, ps, qs=(), sums=None) -> int | None
             if len(x.terms) > top:
                 top = len(x.terms)
         bound *= top
-    if sums is not None and 0 < bound < BLOCK_MIN_TERMS:  # products per sum matter only here
-        bound *= max(map(len, sums)) if sums else 0
     return 8 * (universe.nvars - BLOCK_VARS) if bound >= BLOCK_MIN_TERMS else None
 
 
@@ -404,7 +400,7 @@ def sums_of_products(universe: VariableUniverse, ps: list, qs: list, sums) -> li
     """Per sum, the sum of ps[i]*qs[j] (negated where negate) over its (i, j, negate)
     triples.  Once `_block_shift` picks blocks, each operand is taken in blocks,
     a flat one split once per call, and each sum is returned in its blocks."""
-    shift = _block_shift(universe, ps, qs, sums)
+    shift = _block_shift(universe, ps, qs)
     out: list[Polynomial] = []
     if shift is None:
         for pairs in sums:

@@ -622,17 +622,20 @@ def test_blocked_product_stays_blocked_under_monomials_comparison_and_stats(bloc
     assert changed.terms == {**flat.terms, m: 2 * c}
 
 
-def test_blocking_follows_the_sums_size_bound():
-    # at the real threshold: (products per sum) * max |p| * max |q| against BLOCK_MIN_TERMS
+def test_blocking_follows_the_product_size_bound():
+    # at the real threshold: max |p| * max |q| against BLOCK_MIN_TERMS, however many
+    # products each sum adds
     assert polyring.BLOCK_MIN_TERMS == 4096
     p = reduce(lambda x, y: x + y, (V[i % 4] ** (i // 4 + 1) * V[4 + i % 8] for i in range(64)))
     q = reduce(lambda x, y: x + y, (V[8 + i % 4] ** (i // 4 + 1) for i in range(32)))
     assert (len(p.terms), len(q.terms)) == (64, 32)
     ps, qs = [p, p + V[11]], [q, q - 2]
     one, two = [((0, 0, False),), ((1, 1, True),)], [((0, 0, False), (1, 1, True))]
-    flat = sums_of_products(U12, ps, qs, one)  # 1 * 65 * 33 < 4 096
-    summed = sums_of_products(U12, ps, qs, two)[0]  # 2 * 65 * 33 >= 4 096
-    assert [type(x) for x in flat] == [Polynomial, Polynomial] and type(summed) is polyring._Blocked
-    assert summed.terms == _flat_product_terms([(p, q, False), (p + V[11], q - 2, True)])
+    flat = sums_of_products(U12, ps, qs, one) + sums_of_products(U12, ps, qs, two)  # 65 * 33 < 4 096
+    assert [type(x) for x in flat] == [Polynomial] * 3
+    assert flat[2].terms == _flat_product_terms([(p, q, False), (p + V[11], q - 2, True)])
+    summed = sums_of_products(U12, ps, [p, p - 2], two)[0]  # 65 * 65 >= 4 096
+    assert type(summed) is polyring._Blocked
+    assert summed.terms == _flat_product_terms([(p, p, False), (p + V[11], p - 2, True)])
     assert type(p * q) is Polynomial and type(p * p) is polyring._Blocked  # 64 * 32 and 64 * 64
     assert (p * p).terms == _flat_product_terms([(p, p, False)])
