@@ -617,6 +617,8 @@ def test_blocked_product_stays_blocked_under_monomials_comparison_and_stats(bloc
     assert bool(p) and not zero
     assert p.stats() == flat.stats() and zero.stats() == Polynomial.zero(U12).stats()
     assert (p.total_degree(), p.content()) == (_degree_by_bytes(flat), _content_by_reduce(flat))
+    mixed = _in_blocks(6 * V[0] * V[9] - 4 * V[1])  # two blocks, of content 6 and 4
+    assert len(polyring._TERMS.__get__(mixed)) == 2 and mixed.content() == 2
     assert len(p) == len(flat.terms) and repr(p) == repr(flat)
     assert all(type(x) is polyring._Blocked for x in blocked)  # none of the above joined
     assert changed.terms == {**flat.terms, m: 2 * c}
