@@ -22,15 +22,13 @@ byte carries, so key(m1 + m2) = key(m1) + key(m2), and a product adds each
 block pair into the one block its key sum names.  Over more than
 2 * BLOCK_VARS variables, a sum of products is built in blocks when an operand
 is blocked or the product size bound, max |p| * max |q|, reaches
-BLOCK_MIN_TERMS (`_block_shift`).  The next product, `* monomial`, `==`,
-`bool`, `len`, `stats`, `evaluate` and `exact_div` keep it in its blocks;
-only `terms` (so `+`, `-` and pickling) joins them into one map.
-Division is long division over block keys, with coefficients in the other
-variables.  It takes the blocks in descending key order, which is descending
-lex order, and divides each by the divisor's lead block alone, walking the
-block's nonzero terms sorted once, descending; the quotient block found there
-times each lower divisor block is one block product, subtracted from the
-lower block its key sum names.
+BLOCK_MIN_TERMS (`_block_shift`).  Products, `==`, `bool`, `len`, `stats`,
+`evaluate` and `exact_div` take it in its blocks; reading `terms` (so `+`, `-`
+and pickling) builds a new joined map and leaves the blocks as they are.
+Division takes blocks when the dividend or divisor is blocked or the larger
+holds BLOCK_MIN_TERMS terms: it is long division over block keys, with
+coefficients in the other variables, taken in descending key order, which is
+descending lex order (`exact_div`).
 
 A polynomial is built only by `Polynomial.variable` and `constant` (with
 `zero` and `one`) and by ring operations; `Polynomial(...)` itself raises
@@ -216,24 +214,15 @@ class Polynomial:
             return NotImplemented
         return other.__add__(-self)
 
-    def __mul__(self, other):  # both flat: a blocked operand takes _Blocked.__mul__ or __rmul__
-        if isinstance(other, int):
-            if not other:
-                return Polynomial.zero(self.universe)
-            return Polynomial._from_clean(
-                self.universe, {m: c * other for m, c in self.terms.items()}
-            )
+    def __mul__(self, other):
         other = self._coerce(other)
         if other is None:
             return NotImplemented
-        one, many = (self, other) if len(self.terms) <= len(other.terms) else (other, self)
-        if len(one.terms) == 1 and not (one._monomial_or | many._monomial_or) & self.universe._safe_mask:
-            ((m1, c1),) = one.terms.items()  # a monomial times a polynomial, in one pass
-            return Polynomial._from_clean(self.universe, {m1 + m: c1 * c for m, c in many.terms.items()})
-        if _block_shift(self.universe, [self], [other]) is None:  # the common case, without building a sum
-            out: dict[int, int] = {}
-            accumulate_product(out, self, other)
-            return Polynomial._from_clean(self.universe, {m: c for m, c in out.items() if c})
+        if type(self) is not _Blocked and type(other) is not _Blocked:  # their terms would join them
+            one, many = (self, other) if len(self.terms) <= len(other.terms) else (other, self)
+            if len(one.terms) == 1 and not (one._monomial_or | many._monomial_or) & self.universe._safe_mask:
+                ((m1, c1),) = one.terms.items()  # a monomial times a polynomial, in one pass
+                return Polynomial._from_clean(self.universe, {m1 + m: c1 * c for m, c in many.terms.items()})
         return sums_of_products(self.universe, [self], [other], [((0, 0, False),)])[0]  # one sum: self * other
 
     __rmul__ = __mul__
@@ -248,8 +237,8 @@ class Polynomial:
             result = result * self
         return result
 
-    def __bool__(self):
-        return bool(self.terms)
+    def __bool__(self):  # a blocked product's slot holds its blocks, none of them zero
+        return bool(_TERMS.__get__(self))
 
     def __eq__(self, other):
         if isinstance(other, int):
@@ -311,36 +300,23 @@ _TERMS = Polynomial.terms  # the slot itself, which _Blocked's `terms` shadows
 
 class _Blocked(Polynomial):
     """A product kept in its blocks: the `terms` slot holds [(block key, block
-    polynomial)], none of them zero, and the first read of `terms` joins them,
-    freeing each as it goes, and makes this a plain Polynomial."""
+    polynomial)], none of them zero.  Reading `terms` returns a new map of all
+    of them joined and leaves the blocks as they are."""
 
     __slots__ = ()
 
     def _join(self) -> dict[int, int]:
-        parts, joined = _TERMS.__get__(self), {}
-        while parts:
-            joined.update(parts.pop()[1].terms)
-        self.__class__ = Polynomial
-        self.terms = joined
+        joined: dict[int, int] = {}
+        for _, p in _TERMS.__get__(self):
+            joined.update(p.terms)
         return joined
 
     terms = property(_join, _TERMS.__set__)
-
-    def __bool__(self):
-        return bool(_TERMS.__get__(self))
 
     def _term_maps(self):
         return [p.terms for _, p in _TERMS.__get__(self)]
 
     _monomial_or = property(lambda self: reduce(or_, [p._monomial_or for _, p in _TERMS.__get__(self)], 0))
-
-    def __mul__(self, other):  # also other * self, as a subclass's reflected method goes first
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
-        return sums_of_products(self.universe, [self], [other], [((0, 0, False),)])[0]
-
-    __rmul__ = __mul__
 
 
 def accumulate_product(acc: dict[int, int], p: Polynomial, q: Polynomial, negate: bool = False) -> None:
@@ -371,14 +347,14 @@ def accumulate_product(acc: dict[int, int], p: Polynomial, q: Polynomial, negate
 
 def _block_shift(universe: VariableUniverse, ps, qs=()) -> int | None:
     """Shift from a packed monomial to its block key, or None to keep term maps flat, by the
-    module docstring's rule for products ps[i] * qs[j] (or for a dividend ps[0] alone)."""
+    module docstring's rule for products ps[i] * qs[j] (or for a division's operands ps alone)."""
     if universe.nvars <= 2 * BLOCK_VARS:
         return None
     bound = 1
     for xs in (ps, qs) if qs else (ps,):
         top = 0
         for x in xs:
-            if type(x) is _Blocked:  # tested first: len(x.terms) would join it
+            if type(x) is _Blocked:  # tested first: x.terms would join its blocks
                 return 8 * (universe.nvars - BLOCK_VARS)
             if len(x.terms) > top:
                 top = len(x.terms)
@@ -386,8 +362,11 @@ def _block_shift(universe: VariableUniverse, ps, qs=()) -> int | None:
     return 8 * (universe.nvars - BLOCK_VARS) if bound >= BLOCK_MIN_TERMS else None
 
 
-def _parts(x: Polynomial, shift: int) -> list[tuple[int, Polynomial]]:
-    """x as [(block key, block polynomial)]: a blocked product's own list, or a split."""
+def _parts(x: Polynomial, shift: int | None) -> list[tuple[int, Polynomial]]:
+    """x as [(block key, block polynomial)]: one block under no shift, a blocked
+    product's own list, or a split."""
+    if shift is None:
+        return [(0, x)]
     if type(x) is _Blocked:
         return _TERMS.__get__(x)
     blocks: dict[int, dict[int, int]] = {}
@@ -440,8 +419,8 @@ def exact_div(f: Polynomial, d: Polynomial) -> Polynomial | None:
 
     Greedy cancellation of the lex-leading term; exactness of every
     intermediate coefficient division is required, matching divisibility in
-    Z[x1..xm].  From BLOCK_MIN_TERMS dividend terms on, or on a dividend kept
-    in blocks, this is long division over block keys: the remainder's blocks
+    Z[x1..xm].  It is long division over block keys, each of f and d one
+    block when `_block_shift` keeps them flat: the remainder's blocks
     (copies of a blocked dividend's own) are taken in descending key order,
     and each is divided by d's lead block alone, walking its nonzero terms
     sorted once, descending, with a side heap for only the keys that the
@@ -462,14 +441,12 @@ def exact_div(f: Polynomial, d: Polynomial) -> Polynomial | None:
         return Polynomial.zero(f.universe)
     u = f.universe
     guard = u._guard_mask
-    lead_d = max(d.terms)
-    lead_c = d.terms[lead_d]
-    if (shift := _block_shift(u, (f,))) is None:
-        lead_key, lead, lower, rem, keys = 0, d, (), {0: dict(f.terms)}, [0]
-    else:  # the divisor by block key, descending: the first group holds lead_d
-        (lead_key, lead), *lower = sorted(_parts(d, shift), reverse=True)
-        rem = {k: dict(p.terms) for k, p in _parts(f, shift)}
-        keys = sorted(-k for k in rem)  # a sorted list is a heap
+    shift = _block_shift(u, (f, d))
+    (lead_key, lead), *lower = sorted(_parts(d, shift), reverse=True)  # the first block holds d's lead
+    lead_d = max(lead.terms)
+    lead_c = lead.terms[lead_d]
+    rem = {k: dict(p.terms) for k, p in _parts(f, shift)}
+    keys = sorted(-k for k in rem)  # a sorted list is a heap
     lead_items = [(md, cd) for md, cd in lead.terms.items() if md != lead_d]  # it would only cancel m: popped
     quotient: dict[int, int] = {}
     while keys:

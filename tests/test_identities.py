@@ -444,5 +444,6 @@ def test_b0_n3_k2_quotient_keeps_det_w_in_blocks(monkeypatch):
     assert (rep.detw_stats.monomials, rep.detw_stats.degree) == (31410, 18)
     assert (rep.quotient_stats.monomials, rep.quotient_stats.degree) == (2070, 14)
     assert rep.detw_stats.content == rep.quotient_stats.content == 1
-    # the counter sees a join when there is one
-    assert len(det_laplace(compound_minor_products(a, b, 2).matrix).terms) == 31410 and joins == [31410]
+    # the counter sees a join when there is one, and the joined det W stays in its blocks
+    det_w = det_laplace(compound_minor_products(a, b, 2).matrix)
+    assert len(det_w.terms) == 31410 and joins == [31410] and type(det_w) is polyring._Blocked

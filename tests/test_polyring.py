@@ -477,16 +477,27 @@ def _in_blocks(p):
 
 
 def test_one_term_products_match_the_flat_loop(blocked):
+    # one __mul__: a monomial times a flat operand in one pass, every other product,
+    # an int or a blocked operand among them, through sums_of_products
     rng, polys = blocked
     big = reduce(lambda x, y: x + y, polys)
     assert len({m >> 8 * (U12.nvars - polyring.BLOCK_VARS) for m in big.terms}) > 1
-    for one in (-3 * V[0] * V[7] ** 2, Polynomial.constant(U12, 5), V[11] ** 63):
-        want = _flat_product_terms([(one, big, False)])
-        assert (one * big).terms == (big * one).terms == want
-        blocked_big = _in_blocks(big)
-        products = [one * blocked_big, blocked_big * one]
-        assert type(blocked_big) is polyring._Blocked and {type(p) for p in products} == {polyring._Blocked}
-        assert [p.terms for p in products] == [want, want]
+    blocked_big = _in_blocks(big)
+    blocks = list(polyring._TERMS.__get__(blocked_big))
+    for one in (-3 * V[0] * V[7] ** 2, Polynomial.constant(U12, 5), V[11] ** 63, 3, 0, polys[0] - polys[1]):
+        want = _flat_product_terms([(Polynomial.constant(U12, one) if isinstance(one, int) else one, big, False)])
+        products = [one * big, big * one, one * blocked_big, blocked_big * one]
+        assert [p.terms for p in products] == [want] * 4
+        assert [type(p) for p in products[2:]] == [polyring._Blocked] * 2
+    assert type(blocked_big) is polyring._Blocked and polyring._TERMS.__get__(blocked_big) == blocks
+    # a monomial times a flat operand of BLOCK_MIN_TERMS terms or more stays flat, even here
+    p = reduce(lambda x, y: x + y, (V[0] ** (i // 8 + 1) * V[1] ** (i % 8 + 1) for i in range(64)))
+    q = reduce(lambda x, y: x + y, (V[6] ** (i // 8 + 1) * V[7] ** (i % 8 + 1) for i in range(64)))
+    wide = Polynomial._from_clean(U12, _flat_product_terms([(p, q, False)]))
+    assert len(wide.terms) == 4096
+    mono = -3 * V[2] * V[9] ** 2
+    for got in (mono * wide, wide * mono):
+        assert type(got) is Polynomial and got.terms == _flat_product_terms([(mono, wide, False)])
     for high in (V[0] ** 64 + V[5], _in_blocks(V[0] ** 64 + V[5])):
         with pytest.raises(OverflowError):
             V[0] ** 64 * high
@@ -494,7 +505,7 @@ def test_one_term_products_match_the_flat_loop(blocked):
             high * V[0] ** 64
 
 
-def test_blocked_product_keeps_its_blocks_until_terms_is_read(blocked, monkeypatch):
+def test_blocked_product_keeps_its_blocks_when_terms_is_read(blocked, monkeypatch):
     rng, polys = blocked
     several = [p for p in polys if len(p.terms) > 1]  # a one-term factor takes the one-pass product
     pairs = [rng.sample(several, 2) for _ in range(40)]
@@ -506,9 +517,17 @@ def test_blocked_product_keeps_its_blocks_until_terms_is_read(blocked, monkeypat
     assert exact_div(zero, V[1]) == 0 and type(zero) is polyring._Blocked
     assert zero.terms == {}
     monkeypatch.setattr(polyring, "BLOCK_MIN_TERMS", 10**9)
+    joins = []
+    join = polyring._Blocked.terms
+    monkeypatch.setattr(polyring._Blocked, "terms", property(lambda p: joins.append(p) or join.fget(p), join.fset))
     for p, (f, g) in zip(products, pairs):
-        assert p.terms == (f * g).terms == _flat_product_terms([(f, g, False)])
-        assert type(p) is Polynomial  # joined once, then a plain slot read
+        blocks = list(polyring._TERMS.__get__(p))
+        first = p.terms
+        assert first == p.terms == (f * g).terms == _flat_product_terms([(f, g, False)])
+        assert first is not p.terms  # a new map on each read
+        assert type(p) is polyring._Blocked and polyring._TERMS.__get__(p) == blocks
+        joins.clear()
+        assert exact_div(p, g) == f and joins == []  # it still takes the blocks
     # a product of blocked operands takes their blocks as they are
     f, g, h = (several[0] + several[1]) * several[2], several[3] * several[4], several[5]
     monkeypatch.setattr(polyring, "BLOCK_MIN_TERMS", 1)
@@ -516,6 +535,31 @@ def test_blocked_product_keeps_its_blocks_until_terms_is_read(blocked, monkeypat
     got = sums_of_products(U12, [bf, h], [bg, bf], [((0, 0, False), (1, 1, True))])[0]
     assert type(bf) is type(bg) is type(got) is polyring._Blocked
     assert got.terms == _flat_product_terms([(f, g, False), (h, f, True)])
+
+
+def test_exact_div_by_a_blocked_divisor_matches_the_flat_path(blocked, monkeypatch):
+    # a blocked divisor puts the division in blocks, even under a small flat dividend
+    rng, polys = blocked
+    several = [p for p in polys if len(p.terms) > 1]
+    cases = []
+    for _ in range(20):
+        p, q, r = rng.sample(several, 3)
+        d, f = p * q, p * q * r
+        assert type(d) is type(f) is polyring._Blocked
+        cases.append((d, f, r))
+    monkeypatch.setattr(polyring, "BLOCK_MIN_TERMS", 10**9)
+
+    def flat(x):
+        return Polynomial._from_clean(U12, x.terms)
+
+    for d, f, r in cases:
+        flat_d, flat_f = flat(d), flat(f)
+        assert exact_div(flat_d, d) == 1 and exact_div(flat_f, d) == r and exact_div(f, d) == r
+        for dividend in (flat_d, flat_f, flat_f + V[0], f, f * V[5]):
+            got, want = exact_div(dividend, d), exact_div(flat(dividend), flat_d)
+            assert (got is None) == (want is None) and (got is None or got.terms == want.terms)
+        assert exact_div(flat_f + V[0], d) is None
+        assert type(d) is polyring._Blocked
 
 
 def test_unjoined_blocked_product_pickles_copies_and_queries(blocked):
