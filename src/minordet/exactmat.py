@@ -15,7 +15,8 @@ Three determinant routines cross-check one another:
   * brute_force_det  signed permutation sum, capped at size 8, oracle role.
 
 A fourth, det_mod, gives det(a) mod m for an integer matrix by elimination
-mod m, so a divisibility test by m never forms the full determinant.
+mod m on rows packed into ints, so a divisibility test by m never forms the
+full determinant; it reduces a row mod m by whole-row arithmetic as well.
 `det` takes det_bareiss for an integer matrix, det_laplace for a polynomial one.
 
 bordered_minors takes one step per level of its expansion, chosen by entry
@@ -307,13 +308,20 @@ def det_mod(a: MatrixExpr, m: int) -> int:
     int of fixed-width nonnegative slots, column j in slot j, and a row
     update is one multiply-add of whole rows, `(row + x * pivot) >> bits`
     with 0 < x <= m, whose shift drops the eliminated column.  The pivot row
-    is reduced slot by slot mod m first, so a slot gains under 2 m^2 per
-    column and stays below (2n + 2) m^2, which its width holds: no slot ever
+    is reduced mod m first, so a slot gains under 2 m^2 per column and stays
+    below (2n + 2) m^2 < 2^bits, which its width holds: no slot ever
     borrows or carries into the next.  Per column the pivot p is an entry
     whose gcd h with m is least; an entry e that h divides takes one update,
     as e = q p (mod m) for q = (e/h) (p/h)^-1 mod m/h, and any other entry
     one 2 x 2 step (s, t; m - e/g, p/g), s p + t e = g = gcd(p, e), on the
     reduced rows, which leaves g as the pivot.
+
+    A row is reduced mod m by Barrett's method on whole rows: the even slots,
+    and the odd ones shifted down one, sit alone in 2 bits bits each, where
+    (s mu >> bits) & low, mu = 2^bits // m, is s // m or one less as
+    s < 2^bits, and s mu < 2^(2 bits) stays put.  Joined again, each slot is
+    below 2m and loses m once more where adding 2^top - m, with
+    m <= 2^top < 2m <= 2^(bits-1), sets bit top.
     """
     _require_square(a)
     if a.universe is not None:
@@ -321,14 +329,18 @@ def det_mod(a: MatrixExpr, m: int) -> int:
     if m < 1:
         raise ValueError("det_mod needs a modulus m >= 1")
     width = -(-((2 * a.rows + 2) * m * m).bit_length() // 8)
-    bits, mask = 8 * width, (1 << 8 * width) - 1
+    bits, top = 8 * width, (m - 1).bit_length()
+    mask, ones = (1 << bits) - 1, int.from_bytes(b"\1".ljust(width, b"\0") * a.cols, "little")
+    low = int.from_bytes((b"\xff" * width + bytes(width)) * -(-a.cols // 2), "little")  # even slots
+    mu, lift = (1 << bits) // m, ((1 << top) - m) * ones
 
     def pack(slots) -> int:
         return int.from_bytes(b"".join([(x % m).to_bytes(width, "little") for x in slots]), "little")
 
     def reduce(row: int) -> int:
-        raw = row.to_bytes(-(-row.bit_length() // 8), "little")
-        return pack([int.from_bytes(raw[i : i + width], "little") for i in range(0, len(raw), width)])
+        even, odd = row & low, (row >> bits) & low
+        row = (even - m * ((even * mu >> bits) & low)) | (odd - m * ((odd * mu >> bits) & low)) << bits
+        return row - m * (((row + lift) >> top) & ones)
 
     c = a.cols
     rows = [pack(a.entries[r * c : (r + 1) * c]) for r in range(a.rows)]

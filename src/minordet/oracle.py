@@ -4,16 +4,16 @@ Polynomial identities and divisibilities survive every integer
 specialization, so random integer matrices give an independent, cheap
 oracle: build the compound of bordered minors numerically, take exact
 integer determinants (Bareiss), and test divisibility or the power identity
-pointwise.  A divisibility d | det W on a compound of MOD_DET_MIN_ROWS rows
-or more is decided by det W mod |d| alone (`det_mod`): the same exact
-verdict, without the thousands of bits of det W.  The entries each theorem
-fixes and the divisor it forces come from the same rules as the symbolic
-checks (`forced_entries`, `forced_divisor`).  Negative controls run the
-same pipeline with the structural constraints deliberately not applied and
-must produce failures.  `divisibility` alone picks a divisibility check's
-tier: the exact symbolic quotient up to SYMBOLIC_N_LIMIT, fuzzing above it.
-check_griolv_k2 and check_cauchy_binet, which tests the compound identity
-C_k(AB) = C_k(A) C_k(B), run here too.
+pointwise.  A divisibility d | det W on a compound of MOD_DET_MIN_ROWS = 15
+rows or more (2 <= k <= n - 2 from n = 6 up) is decided by det W mod |d|
+alone (`det_mod`): the same exact verdict, without the thousands of bits of
+det W.  The entries each theorem fixes and the divisor it forces come from
+the same rules as the symbolic checks (`forced_entries`, `forced_divisor`).
+Negative controls run the same pipeline with the structural constraints
+deliberately not applied and must produce failures.  `divisibility` alone
+picks a divisibility check's tier: the exact symbolic quotient up to
+SYMBOLIC_N_LIMIT, fuzzing above it.  check_griolv_k2 and check_cauchy_binet,
+which tests the compound identity C_k(AB) = C_k(A) C_k(B), run here too.
 
 Every random draw of the package is made here, from one child RNG per trial
 derived from (seed, trial index) through a splitmix64 mix, so trial t of a
@@ -50,11 +50,11 @@ THEOREMS = DIVISIBILITY_THEOREMS + ("sylv",)
 MAX_N_DIVISIBILITY = 8
 MAX_N_SYLVESTER = 7
 
-# Compounds with fewer rows take det W by Bareiss even when d != 0.  Measured
-# on seeded bound-50 ab0 draws (Python 3.11, 2-vCPU Xeon VM), det_mod takes
-# 1.6-3.6x Bareiss's time on 10 x 10 compounds, 0.9-1.8x on 15 x 15,
-# 0.33-0.7x on 20 x 20 and 0.01-0.03x on 70 x 70
-MOD_DET_MIN_ROWS = 16
+# Compounds with fewer rows take det W by Bareiss even when d != 0.  On 40 seeded
+# bound-50 draws per plan (Python 3.11, shared 2-vCPU VM) det_mod takes 0.85-1.05x
+# Bareiss's time on 10-row b0 compounds, 1.4-1.65x on ab0's, 0.27-0.91x on 15 rows,
+# 0.18-0.31x on 20 and about 0.015x on 70; no compound has 11 to 14 rows
+MOD_DET_MIN_ROWS = 15
 
 _M64 = (1 << 64) - 1
 

@@ -11,10 +11,12 @@ import random
 
 import pytest
 
+from minordet import exactmat
 from minordet.exactmat import (
     BRUTE_FORCE_CAP,
     MatrixExpr,
     _int_steps,
+    _xgcd,
     brute_force_det,
     det_bareiss,
     det_laplace,
@@ -252,6 +254,35 @@ def test_det_mod_at_oracle_sizes():
     for n, m in ((24, 2**64 - 59), (40, 6**30), (40, 5)):
         a = MatrixExpr(n, n, [1 if r == c else m - 1 for r in range(n) for c in range(n)])
         assert det_mod(a, m) == det_bareiss(a) % m, (n, m)
+
+
+def test_det_mod_reduction_at_its_edges(monkeypatch):
+    # det_mod reduces a row's even and odd slots apart, so odd and even row counts;
+    # the smallest moduli and moduli at the slot width's byte boundaries
+    rng = random.Random(2301)
+    for m in (1, 2, 3, 2**8 - 1, 2**8, 2**8 + 1, 2**32 + 1, 2**64 - 59):
+        for n in (1, 2, 3, 16, 17):
+            drawn = _rand_int_matrix(rng, n, n, bound=3 * m)
+            # m - 1 everywhere off a unit diagonal, and the same above it with 0
+            # below it: there every update adds m (m - 1) to each slot, the most
+            # one update can, so the last slots reach about n m^2
+            full = MatrixExpr(n, n, [1 if r == c else m - 1 for r in range(n) for c in range(n)])
+            upper = MatrixExpr(n, n, [1 if r == c else (m - 1) * (c > r) for r in range(n) for c in range(n)])
+            for a in (drawn, full, upper):
+                assert det_mod(a, m) == det_bareiss(a) % m, (a.row_list(), m)
+    # no unit in the first column and gcds 4, 6 and 9 with m: the 2 x 2 step runs,
+    # at odd row counts, and reduces rows whose slots it has grown to under 2 m^2
+    xgcd_calls = []
+    monkeypatch.setattr(exactmat, "_xgcd", lambda a, b: xgcd_calls.append(1) or _xgcd(a, b))
+    for n in (3, 17):
+        for m in (36, 2**8 * 3**5, 2**64 * 3**40):
+            rows = [
+                [(4, 6, 9)[r % 3] * rng.choice((1, 5, 7, 11))] + [rng.randint(-m, m) for _ in range(n - 1)]
+                for r in range(n)
+            ]
+            a = MatrixExpr.from_rows(rows)
+            assert det_mod(a, m) == det_bareiss(a) % m, (n, m)
+    assert len(xgcd_calls) >= 6
 
 
 def test_det_bareiss_rejects_polynomials():

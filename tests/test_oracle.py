@@ -195,10 +195,11 @@ def _recomputed(plan, apply_constraints):
 
 
 def test_verdicts_do_not_change_across_the_modular_rule():
-    # compounds of 10 rows take full Bareiss, of 20 and 21 rows det W mod |d|;
+    # compounds of 10 rows take full Bareiss, of 15, 20 and 21 rows det W mod |d|;
     # adb0 at bound 1 has trials with divisor 0 and a control with one failure in six
     plans = [
         (FuzzPlan("b0", 5, 2, trials=6, seed=21, bound=50), 10),
+        (FuzzPlan("ab0", 6, 2, trials=4, seed=25, bound=50), 15),
         (FuzzPlan("ab0", 6, 3, trials=4, seed=22, bound=50), 20),
         (FuzzPlan("adb0", 6, 3, trials=6, seed=23, bound=1), 20),
         (FuzzPlan("b0", 7, 5, trials=3, seed=24, bound=50), 21),
