@@ -17,25 +17,21 @@ Three determinant routines cross-check one another:
 A fourth, det_mod, gives det(a) mod m for an integer matrix by elimination
 mod m on rows packed into ints, so a divisibility test by m never forms the
 full determinant; it reduces a row mod m by whole-row arithmetic as well.
-`det` takes det_bareiss for an integer matrix, det_laplace for a polynomial one.
+`det` takes det_bareiss for an integer matrix above size 7, else det_laplace.
 
-bordered_minors takes one step per level of its expansion, chosen by entry
-kind only.  On integers the steps of each (size, k) are compiled once into
-straight-line functions and cached: on a shared 2-vCPU VM the n = 8, k = 4
-plan costs 8-12 ms once and then 1.9-3.0 ms per matrix, and n = 4, k = 2
-0.4-0.7 ms once, then 17-28 us.  So det_laplace keeps the compiled steps of
-each integer size it is given, and a large size is slow the first time:
-size 12 takes 0.12-0.15 s once, then 1.1-2.4 ms, and size 15 about 1.8 s
-once and 70 MB kept, then 21-29 ms.  No verb builds an integer k = n plan
-above size 9, since `det` takes det_bareiss for integers.  On polynomials
-each step is `polyring.sums_of_products`.
+bordered_minors compiles each integer (size, k) plan once and keeps it: on
+a shared 2-vCPU VM n = 4, k = 2 takes 0.7-1.2 ms once, then 5-8 us per
+matrix, and n = 8, k = 4 5-7 ms, then 1.8-2.1 ms.  So det_laplace keeps the
+plan of each integer size it is given, and a large size is slow the first
+time: size 12 takes 0.08-0.1 s once, then 1.3-1.5 ms, and size 15 about
+1.8 s and 70 MB kept, then 21-29 ms.  No verb compiles a k = n plan above size 9.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache, partial
 from itertools import combinations, permutations
-from math import gcd
+from math import comb, gcd
 from typing import Mapping, Sequence, Union
 
 from .polyring import Polynomial, VariableUniverse, sums_of_products
@@ -184,26 +180,25 @@ def bordered_minors(a: MatrixExpr, k: int) -> list:
     expansion climbs.  With k = n the single minor is det(a).  Callers have
     checked that `a` is (n+1) x (n+1) and 0 <= k <= n.
 
-    Each level is one step, called once per column suffix with that column
-    and the level below.  On integers the steps are compiled once per
-    (size, k) into straight-line functions and kept (`_int_steps`), also for
-    a k = n plan, whose size * 2^(size-1) index pairs make a large size slow
-    to compile once (see the module docstring).  On polynomials each step is
-    `polyring.sums_of_products` over the cached `_expansion_plan`.
+    On integers each (size, k) plan is compiled once and kept (`_int_minors`),
+    whole up to WHOLE_PLAN_MAX_PRODUCTS products, else one step per level for
+    `_expand`; on polynomials `_expand` runs `polyring.sums_of_products` steps
+    over the cached `_expansion_plan`.
     """
     size = a.rows
-    n = size - 1
-    ent = a.entries
     if a.universe is None:
-        one, steps = 1, _int_steps(size, k)
-    else:
-        one = Polynomial.one(a.universe)
-        steps = [partial(sums_of_products, a.universe, sums=plan) for plan in _expansion_plan(size, k)]
+        return _int_minors(size, k)(a.entries)
+    steps = [partial(sums_of_products, a.universe, sums=plan) for plan in _expansion_plan(size, k)]
+    return _expand(steps, Polynomial.one(a.universe), a.entries, size, k)
+
+
+def _expand(steps, one, ent: list, size: int, k: int) -> list:
+    """bordered_minors level by level: each step once per column suffix, with its column and the level below."""
     level = {(): [one]}  # column suffix -> minors, indexed like that level's row sets
     for t, step in enumerate(steps):
         level = {
-            cols: step(ent[cols[0] if cols else n :: size], level[cols[1:]])
-            for cols in combinations(range(k - t, n), t)
+            cols: step(ent[cols[0] if cols else size - 1 :: size], level[cols[1:]])
+            for cols in combinations(range(k - t, size - 1), t)
         }
     return [minor for row in zip(*level.values()) for minor in row]
 
@@ -234,21 +229,53 @@ def _expansion_plan(size: int, k: int) -> tuple:
     return tuple(plans)
 
 
-@lru_cache(maxsize=64)
-def _int_steps(size: int, k: int) -> tuple:
-    """bordered_minors' integer steps for (size, k), one compiled function per level.
+# The most products (c * s multiply-adds, once per column suffix) of a plan compiled whole. Compiling
+# takes about 3.3 us and 1.3 KB of traced memory per product, once; per matrix n = 5, k = 2 (426
+# products) went 22 -> 10 us and n = 6, k = 3 (2 825) 104 -> 74 us on a shared 2-vCPU VM, but a
+# bound of 4 096, which compiles the latter whole, took fuzz-small's peak RSS 19.4 -> 21.9 MB.
+WHOLE_PLAN_MAX_PRODUCTS = 512
 
-    Level t becomes `step(c, s)`: it unpacks the column c and the level below
-    s into locals and returns one signed sum of products c_r * s_j per row
-    set.  The source holds only integer indices from _expansion_plan, which
-    is built uncached here so that the triples are not kept twice.
-    """
+
+@lru_cache(maxsize=64)
+def _int_minors(size: int, k: int):
+    """bordered_minors' integer function for (size, k), compiled from an uncached plan (not kept
+    twice): `_whole_plan` up to WHOLE_PLAN_MAX_PRODUCTS products, else `_level_steps`."""
+    plan = _expansion_plan.__wrapped__(size, k)
+    products = sum(comb(size - 1 - k + t, t) * sum(map(len, rows)) for t, rows in enumerate(plan))
+    return (_whole_plan if products <= WHOLE_PLAN_MAX_PRODUCTS else _level_steps)(plan, size, k)
+
+
+def _whole_plan(plan: tuple, size: int, k: int):
+    """`minors(e)`, straight-line: the entries e unpacked into locals, each minor below the last
+    level one signed sum of products bound to a local, and the last level's returned row-major."""
+    lines = [f"def minors(e):\n    {''.join(f'e{i}, ' for i in range(size * size))}= e\n"]
+    level = {(): [""]}  # column suffix -> local names of its minors; "" is the empty minor, 1
+    for t, rows in enumerate(plan):
+        below, level = level, {}
+        for cols in combinations(range(k - t, size - 1), t):
+            col, s = cols[0] if cols else size - 1, below[cols[1:]]
+            level[cols] = names = []
+            for terms in rows:
+                sums = (f"{'+-'[neg]}e{r * size + col}" + (s[j] and f"*{s[j]}") for r, j, neg in terms)
+                names.append("".join(sums).lstrip("+"))
+                if t < k and not names[-1].isidentifier():
+                    lines.append(f"    m{len(lines)} = {names[-1]}\n")
+                    names[-1] = f"m{len(lines) - 1}"
+    lines.append(f"    return [{', '.join(name for row in zip(*level.values()) for name in row)}]\n")
+    namespace: dict = {}
+    exec(compile("".join(lines), f"<bordered_minors {size}x{size} k={k}>", "exec"), namespace)
+    return namespace["minors"]
+
+
+def _level_steps(plan: tuple, size: int, k: int):
+    """`_expand` over one compiled `step(c, s)` per level: the column c and the level below s unpacked
+    into locals, and one signed sum of products c_r * s_j returned per row set."""
     steps = []
     width = 1  # level -1 is the empty minor
-    for t, plan in enumerate(_expansion_plan.__wrapped__(size, k)):
+    for t, rows in enumerate(plan):
         sums = ", ".join(
             "".join(f"{'-' if negate else '+'}c{r}*s{j}" for r, j, negate in terms).lstrip("+")
-            for terms in plan
+            for terms in rows
         )
         source = (
             f"def step(c, s):\n"
@@ -259,13 +286,15 @@ def _int_steps(size: int, k: int) -> tuple:
         namespace: dict = {}
         exec(compile(source, f"<bordered_minors step {size}x{size} k={k} t={t}>", "exec"), namespace)
         steps.append(namespace["step"])
-        width = len(plan)
-    return tuple(steps)
+        width = len(rows)
+    return partial(_expand, tuple(steps), 1, size=size, k=k)
 
 
 def det(a: MatrixExpr) -> RingEntry:
-    """det_bareiss for an integer matrix, det_laplace for a polynomial one."""
-    return det_bareiss(a) if a.universe is None else det_laplace(a)
+    """det_laplace for polynomials and where its k = n plan (size * 2^(size-1) products) compiles
+    whole, det_bareiss for a larger integer matrix."""
+    bareiss = a.universe is None and a.rows * 2 ** (a.rows - 1) > WHOLE_PLAN_MAX_PRODUCTS
+    return det_bareiss(a) if bareiss else det_laplace(a)
 
 
 def det_bareiss(a: MatrixExpr) -> int:

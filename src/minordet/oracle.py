@@ -3,7 +3,7 @@
 Polynomial identities and divisibilities survive every integer
 specialization, so random integer matrices give an independent, cheap
 oracle: build the compound of bordered minors numerically, take exact
-integer determinants (Bareiss), and test divisibility or the power identity
+integer determinants (`det`), and test divisibility or the power identity
 pointwise.  A divisibility d | det W on a compound of MOD_DET_MIN_ROWS = 15
 rows or more (2 <= k <= n - 2 from n = 6 up) is decided by det W mod |d|
 alone (`det_mod`): the same exact verdict, without the thousands of bits of
@@ -18,6 +18,7 @@ which tests the compound identity C_k(AB) = C_k(A) C_k(B), run here too.
 Every random draw of the package is made here, from one child RNG per trial
 derived from (seed, trial index) through a splitmix64 mix, so trial t of a
 run is reproducible in isolation and independent of the trials before it.
+An entry takes the `getrandbits` calls `randint` makes, without its layers.
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ import time
 from dataclasses import asdict, dataclass, replace
 from itertools import combinations, product
 
-from .exactmat import MatrixExpr, det_bareiss, det_mod, matmul
+from .exactmat import MatrixExpr, det, det_bareiss, det_mod, matmul
 from .identities import (
     SYMBOLIC_N_LIMIT,
     THEOREM_CONSTRAINTS,
@@ -75,8 +76,17 @@ def trial_rng(seed: int, trial: int) -> random.Random:
 
 
 def rand_int_matrix(rng: random.Random, rows: int, cols: int, bound: int) -> MatrixExpr:
-    """Uniform entries in [-bound, bound], drawn row-major."""
-    ent = [rng.randint(-bound, bound) for _ in range(rows * cols)]
+    """Uniform entries in [-bound, bound], drawn row-major as rng.randint(-bound, bound) draws them."""
+    if bound < 0:
+        raise ValueError("bound must be nonnegative")
+    width = 2 * bound + 1
+    bits, draw = width.bit_length(), rng.getrandbits
+    ent = []
+    for _ in range(rows * cols):
+        r = draw(bits)
+        while r >= width:
+            r = draw(bits)
+        ent.append(r - bound)
     return MatrixExpr(rows, cols, ent)
 
 
@@ -183,7 +193,7 @@ def _divides_det(d: int, w: MatrixExpr) -> bool:
     """d | det(w), where 0 divides only 0; from MOD_DET_MIN_ROWS rows and d != 0, taken mod |d|."""
     if d and w.rows >= MOD_DET_MIN_ROWS:
         return det_mod(w, abs(d)) == 0
-    det_w = det_bareiss(w)
+    det_w = det(w)
     return det_w == 0 if d == 0 else det_w % d == 0
 
 

@@ -8,14 +8,20 @@ integer points, which must commute with det.
 from __future__ import annotations
 
 import random
+from functools import partial
+from itertools import combinations
 
 import pytest
 
 from minordet import exactmat
 from minordet.exactmat import (
     BRUTE_FORCE_CAP,
+    WHOLE_PLAN_MAX_PRODUCTS,
     MatrixExpr,
-    _int_steps,
+    _expansion_plan,
+    _int_minors,
+    _level_steps,
+    _whole_plan,
     _xgcd,
     brute_force_det,
     det_bareiss,
@@ -142,15 +148,53 @@ def test_det_known_values():
     assert det_laplace(MatrixExpr.identity(5)) == 1
     with pytest.raises(ValueError):
         det_laplace(MatrixExpr(2, 3, [0] * 6))
-    # det_laplace compiles the steps of an integer size once and keeps them: a second 12 x 12
-    # matrix takes the same steps from the cache
+    # det_laplace compiles the plan of an integer size once and keeps it: a second 12 x 12
+    # matrix takes the same compiled function from the cache
     rng = random.Random(207)
     big, other = (_rand_int_matrix(rng, 12, 12) for _ in range(2))
     assert det_laplace(big) == det_bareiss(big)
-    before = _int_steps.cache_info()
+    before = _int_minors.cache_info()
     assert det_laplace(other) == det_bareiss(other)
-    after = _int_steps.cache_info()
+    after = _int_minors.cache_info()
     assert (after.hits - before.hits, after.misses - before.misses) == (1, 0)
+
+
+def test_whole_plan_and_level_steps_give_the_same_minors():
+    # both compiled forms of every plan up to size 8, on the same matrices; up to size 5 also
+    # against the permutation sum of each bordered submatrix, which shares no code with either
+    rng = random.Random(208)
+    for size in range(1, 9):
+        for k in range(size):
+            plan = _expansion_plan(size, k)
+            whole, levels = _whole_plan(plan, size, k), _level_steps(plan, size, k)
+            for bound in (50, 1, 50):  # bound 1 makes many minors zero
+                a = _rand_int_matrix(rng, size, size, bound)
+                minors = whole(a.entries)
+                assert minors == levels(a.entries)
+                if size <= 5:
+                    family = [s + (size,) for s in combinations(range(1, size), k)]
+                    assert minors == [brute_force_det(submatrix(a, i, j)) for i in family for j in family]
+
+
+def test_whole_plan_product_bound(monkeypatch):
+    # n = 5, k = 2 has 426 products: at the bound it compiles whole, one above it per level
+    build = _int_minors.__wrapped__
+    for bound, per_level in ((426, False), (425, True)):
+        monkeypatch.setattr(exactmat, "WHOLE_PLAN_MAX_PRODUCTS", bound)
+        assert isinstance(build(6, 2), partial) is per_level
+    monkeypatch.undo()
+    # at 512: k = n plans up to size 7 (448 products) whole, size 8 (1 024) and (7, 2) (892) not
+    assert WHOLE_PLAN_MAX_PRODUCTS == 512
+    for size, k, per_level in ((7, 6, False), (8, 7, True), (7, 2, True), (9, 4, True)):
+        assert isinstance(build(size, k), partial) is per_level
+    # det takes det_laplace exactly where its k = n plan compiles whole, and polynomials
+    taken = []
+    monkeypatch.setattr(exactmat, "det_laplace", lambda a: taken.append(("laplace", a.rows)))
+    monkeypatch.setattr(exactmat, "det_bareiss", lambda a: taken.append(("bareiss", a.rows)))
+    for size in range(10):
+        exactmat.det(MatrixExpr.identity(size))
+    exactmat.det(_generic(8)[0])
+    assert taken == [("laplace", s) for s in range(8)] + [("bareiss", 8), ("bareiss", 9), ("laplace", 8)]
 
 
 def test_det_three_way_agreement_random():

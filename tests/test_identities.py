@@ -403,13 +403,18 @@ def test_bordered_minor_matches_direct_submatrix():
 
 
 def test_k_equals_n_fuzzing_compiles_its_steps_once(monkeypatch):
-    # b0 n = k = 8: three trials take the bordered minors of six 9 x 9 matrices, one compile
-    steps = lru_cache(maxsize=64)(exactmat._int_steps.__wrapped__)
-    monkeypatch.setattr(exactmat, "_int_steps", steps)
+    # b0 n = k = 8: three trials take the bordered minors of six 9 x 9 matrices, one compile of
+    # per-level steps; det takes each 1 x 1 compound by the whole-plan size-1 function, one compile
+    builds = []
+    level_steps = exactmat._level_steps
+    monkeypatch.setattr(exactmat, "_level_steps", lambda *args: builds.append(args[1:]) or level_steps(*args))
+    minors = lru_cache(maxsize=64)(exactmat._int_minors.__wrapped__)
+    monkeypatch.setattr(exactmat, "_int_minors", minors)
     rep = fuzz_divisibility(FuzzPlan("b0", 8, 8, 3, 1, 50))
     assert rep.passed and rep.passes == 3
-    info = steps.cache_info()
-    assert (info.misses, info.hits) == (1, 5)
+    assert builds == [(9, 8)]
+    info = minors.cache_info()
+    assert (info.misses, info.hits) == (2, 7)
 
 
 def test_blocked_and_flat_kernels_agree_on_a_real_compound(monkeypatch):

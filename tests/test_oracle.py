@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import random
 
 import pytest
 
@@ -28,6 +29,7 @@ from minordet.oracle import (
     fuzz_divisibility,
     fuzz_sylvester,
     negative_control,
+    rand_int_matrix,
     random_instance,
 )
 
@@ -53,6 +55,20 @@ def test_plan_validation():
     with pytest.raises(ValueError):
         FuzzPlan("b0", 3, 2, trials=10, seed=0, bound=0)
     assert set(DIVISIBILITY_THEOREMS) < set(THEOREMS)
+
+
+def test_rand_int_matrix_draws_what_randint_draws():
+    # the same entries and the same generator state after, so later draws stay aligned
+    for bound in (0, 1, 2, 3, 7, 50, 100, 500, 1000):
+        for seed in range(4):
+            for rows, cols in ((0, 3), (1, 1), (2, 5), (4, 3), (7, 2)):
+                rng, ref = random.Random(seed), random.Random(seed)
+                m = rand_int_matrix(rng, rows, cols, bound)
+                assert (m.rows, m.cols) == (rows, cols)
+                assert m.entries == [ref.randint(-bound, bound) for _ in range(rows * cols)]
+                assert rng.getstate() == ref.getstate()
+    with pytest.raises(ValueError):
+        rand_int_matrix(random.Random(0), 2, 2, -1)
 
 
 def test_random_instance_is_deterministic():
