@@ -16,8 +16,9 @@ Three determinant routines cross-check one another:
 
 A fourth, det_mod, gives det(a) mod m for an integer matrix by elimination
 mod m on rows packed into ints, so a divisibility test by m never forms the
-full determinant; it reduces a row mod m by whole-row arithmetic as well.
-`det` takes det_bareiss for an integer matrix above size 7, else det_laplace.
+full determinant.  `det` takes det_bareiss for an integer matrix above size
+7, else det_laplace; `divides_det(d, a)`, the one test of d | det(a), takes
+det_mod from MOD_DET_MIN_ROWS rows when d != 0, else `det`.
 
 bordered_minors compiles each integer (size, k) plan once and keeps it: on
 a shared 2-vCPU VM n = 4, k = 2 takes 0.7-1.2 ms once, then 5-8 us per
@@ -253,41 +254,42 @@ def _whole_plan(plan: tuple, size: int, k: int):
     for t, rows in enumerate(plan):
         below, level = level, {}
         for cols in combinations(range(k - t, size - 1), t):
-            col, s = cols[0] if cols else size - 1, below[cols[1:]]
-            level[cols] = names = []
-            for terms in rows:
-                sums = (f"{'+-'[neg]}e{r * size + col}" + (s[j] and f"*{s[j]}") for r, j, neg in terms)
-                names.append("".join(sums).lstrip("+"))
-                if t < k and not names[-1].isidentifier():
-                    lines.append(f"    m{len(lines)} = {names[-1]}\n")
-                    names[-1] = f"m{len(lines) - 1}"
+            col = cols[0] if cols else size - 1
+            level[cols] = names = _signed_sums(rows, [f"e{r * size + col}" for r in range(size)], below[cols[1:]])
+            for i, name in enumerate(names):
+                if t < k and not name.isidentifier():
+                    lines.append(f"    m{len(lines)} = {name}\n")
+                    names[i] = f"m{len(lines) - 1}"
     lines.append(f"    return [{', '.join(name for row in zip(*level.values()) for name in row)}]\n")
-    namespace: dict = {}
-    exec(compile("".join(lines), f"<bordered_minors {size}x{size} k={k}>", "exec"), namespace)
-    return namespace["minors"]
+    return _compiled("".join(lines), f"<bordered_minors {size}x{size} k={k}>")
 
 
 def _level_steps(plan: tuple, size: int, k: int):
-    """`_expand` over one compiled `step(c, s)` per level: the column c and the level below s unpacked
-    into locals, and one signed sum of products c_r * s_j returned per row set."""
-    steps = []
-    width = 1  # level -1 is the empty minor
+    """`_expand` over one compiled `minors(c, s)` per level: the column c and the level below s
+    unpacked into locals, and one signed sum of products c_r * s_j returned per row set."""
+    steps, column, below = [], [f"c{r}" for r in range(size)], ["s0"]  # level -1 is the empty minor
     for t, rows in enumerate(plan):
-        sums = ", ".join(
-            "".join(f"{'-' if negate else '+'}c{r}*s{j}" for r, j, negate in terms).lstrip("+")
-            for terms in rows
-        )
-        source = (
-            f"def step(c, s):\n"
-            f"    {''.join(f'c{r}, ' for r in range(size))}= c\n"
-            f"    {''.join(f's{j}, ' for j in range(width))}= s\n"
-            f"    return [{sums}]\n"
-        )
-        namespace: dict = {}
-        exec(compile(source, f"<bordered_minors step {size}x{size} k={k} t={t}>", "exec"), namespace)
-        steps.append(namespace["step"])
-        width = len(rows)
+        unpack = f"    {', '.join(column)}, = c\n    {', '.join(below)}, = s\n"
+        source = f"def minors(c, s):\n{unpack}    return [{', '.join(_signed_sums(rows, column, below))}]\n"
+        steps.append(_compiled(source, f"<bordered_minors step {size}x{size} k={k} t={t}>"))
+        below = [f"s{j}" for j in range(len(rows))]
     return partial(_expand, tuple(steps), 1, size=size, k=k)
+
+
+def _signed_sums(rows: tuple, column: list, below: list) -> list:
+    """Source of one plan level's minors, one signed sum of products per row set: column[r] names
+    entry r of the level's column and below[j] minor j of the level below, "" for the empty minor."""
+    return [
+        "".join(f"{'+-'[neg]}{column[r]}" + (below[j] and f"*{below[j]}") for r, j, neg in terms).lstrip("+")
+        for terms in rows
+    ]
+
+
+def _compiled(source: str, filename: str):
+    """The function `minors` that source defines."""
+    namespace: dict = {}
+    exec(compile(source, filename, "exec"), namespace)
+    return namespace["minors"]
 
 
 def det(a: MatrixExpr) -> RingEntry:
@@ -295,6 +297,21 @@ def det(a: MatrixExpr) -> RingEntry:
     whole, det_bareiss for a larger integer matrix."""
     bareiss = a.universe is None and a.rows * 2 ** (a.rows - 1) > WHOLE_PLAN_MAX_PRODUCTS
     return det_bareiss(a) if bareiss else det_laplace(a)
+
+
+# Matrices with fewer rows take `det` even when d != 0.  On 40 seeded bound-50
+# compounds per plan (Python 3.11, shared 2-vCPU VM) det_mod takes 0.85-1.05x Bareiss's
+# time on 10-row b0 compounds, 1.4-1.65x on ab0's, 0.27-0.91x on 15 rows, 0.18-0.31x
+# on 20 and about 0.015x on 70; no compound has 11 to 14 rows
+MOD_DET_MIN_ROWS = 15
+
+
+def divides_det(d: int, a: MatrixExpr) -> bool:
+    """d | det(a) for an integer matrix, where 0 divides only 0: from MOD_DET_MIN_ROWS rows and
+    d != 0 by det_mod mod |d|, without the thousands of bits of det(a), else by det."""
+    if d and a.rows >= MOD_DET_MIN_ROWS:
+        return det_mod(a, abs(d)) == 0
+    return det(a) % d == 0 if d else det(a) == 0
 
 
 def det_bareiss(a: MatrixExpr) -> int:
@@ -336,21 +353,21 @@ def det_mod(a: MatrixExpr, m: int) -> int:
     so a composite m needs no inverse that may not exist.  Each row is one
     int of fixed-width nonnegative slots, column j in slot j, and a row
     update is one multiply-add of whole rows, `(row + x * pivot) >> bits`
-    with 0 < x <= m, whose shift drops the eliminated column.  The pivot row
-    is reduced mod m first, so a slot gains under 2 m^2 per column and stays
-    below (2n + 2) m^2 < 2^bits, which its width holds: no slot ever
-    borrows or carries into the next.  Per column the pivot p is an entry
-    whose gcd h with m is least; an entry e that h divides takes one update,
-    as e = q p (mod m) for q = (e/h) (p/h)^-1 mod m/h, and any other entry
-    one 2 x 2 step (s, t; m - e/g, p/g), s p + t e = g = gcd(p, e), on the
-    reduced rows, which leaves g as the pivot.
+    with 0 < x <= m, whose shift drops the eliminated column.  Per column
+    the pivot p is an entry whose gcd h with m is least; an entry e that h
+    divides takes one update, as e = q p (mod m) for q = (e/h) (p/h)^-1
+    mod m/h, and any other entry one 2 x 2 step (s, t; m - e/g, p/g) with
+    s p + t e = g = gcd(p, e), on the reduced rows, leaving g as the pivot.
 
-    A row is reduced mod m by Barrett's method on whole rows: the even slots,
-    and the odd ones shifted down one, sit alone in 2 bits bits each, where
-    (s mu >> bits) & low, mu = 2^bits // m, is s // m or one less as
-    s < 2^bits, and s mu < 2^(2 bits) stays put.  Joined again, each slot is
-    below 2m and loses m once more where adding 2^top - m, with
-    m <= 2^top < 2m <= 2^(bits-1), sets bit top.
+    A row is reduced by Barrett's method on whole rows, to slots below 2m: the
+    even slots, and the odd ones shifted down one, sit alone in 2 bits bits
+    each, where (s mu >> bits) & low, mu = 2^bits // m, is s // m or one less
+    as s < 2^bits, and s mu < 2^(2 bits) stays put.  An update thus adds
+    under 2 m^2 to a slot and a 2 x 2 step leaves it under 4 m^2, so after c
+    columns a slot is below (2c + 2) m^2 <= 2n m^2 < 2^bits, which its width
+    holds: no slot ever borrows or carries into the next.  Each input of a
+    reduction, a row or the 2 x 2 step's new pivot (under 4 m^2), is below
+    2^bits too, as Barrett's step needs.
     """
     _require_square(a)
     if a.universe is not None:
@@ -358,18 +375,16 @@ def det_mod(a: MatrixExpr, m: int) -> int:
     if m < 1:
         raise ValueError("det_mod needs a modulus m >= 1")
     width = -(-((2 * a.rows + 2) * m * m).bit_length() // 8)
-    bits, top = 8 * width, (m - 1).bit_length()
-    mask, ones = (1 << bits) - 1, int.from_bytes(b"\1".ljust(width, b"\0") * a.cols, "little")
+    bits = 8 * width
+    mask, mu = (1 << bits) - 1, (1 << bits) // m
     low = int.from_bytes((b"\xff" * width + bytes(width)) * -(-a.cols // 2), "little")  # even slots
-    mu, lift = (1 << bits) // m, ((1 << top) - m) * ones
 
     def pack(slots) -> int:
         return int.from_bytes(b"".join([(x % m).to_bytes(width, "little") for x in slots]), "little")
 
     def reduce(row: int) -> int:
         even, odd = row & low, (row >> bits) & low
-        row = (even - m * ((even * mu >> bits) & low)) | (odd - m * ((odd * mu >> bits) & low)) << bits
-        return row - m * (((row + lift) >> top) & ones)
+        return (even - m * ((even * mu >> bits) & low)) | (odd - m * ((odd * mu >> bits) & low)) << bits
 
     c = a.cols
     rows = [pack(a.entries[r * c : (r + 1) * c]) for r in range(a.rows)]

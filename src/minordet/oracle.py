@@ -2,12 +2,10 @@
 
 Polynomial identities and divisibilities survive every integer
 specialization, so random integer matrices give an independent, cheap
-oracle: build the compound of bordered minors numerically, take exact
-integer determinants (`det`), and test divisibility or the power identity
-pointwise.  A divisibility d | det W on a compound of MOD_DET_MIN_ROWS = 15
-rows or more (2 <= k <= n - 2 from n = 6 up) is decided by det W mod |d|
-alone (`det_mod`): the same exact verdict, without the thousands of bits of
-det W.  The entries each theorem fixes and the divisor it forces come from
+oracle: build the compound of bordered minors numerically and test
+divisibility or the power identity pointwise.  Whether d | det W is decided
+by `exactmat.divides_det`, which alone picks the determinant method by size.
+The entries each theorem fixes and the divisor it forces come from
 the same rules as the symbolic checks (`forced_entries`, `forced_divisor`).
 Negative controls run the same pipeline with the structural constraints
 deliberately not applied and must produce failures.  `divisibility` alone
@@ -28,7 +26,7 @@ import time
 from dataclasses import asdict, dataclass, replace
 from itertools import combinations, product
 
-from .exactmat import MatrixExpr, det, det_bareiss, det_mod, matmul
+from .exactmat import MatrixExpr, det_bareiss, divides_det, matmul
 from .identities import (
     SYMBOLIC_N_LIMIT,
     THEOREM_CONSTRAINTS,
@@ -50,12 +48,6 @@ THEOREMS = DIVISIBILITY_THEOREMS + ("sylv",)
 
 MAX_N_DIVISIBILITY = 8
 MAX_N_SYLVESTER = 7
-
-# Compounds with fewer rows take det W by Bareiss even when d != 0.  On 40 seeded
-# bound-50 draws per plan (Python 3.11, shared 2-vCPU VM) det_mod takes 0.85-1.05x
-# Bareiss's time on 10-row b0 compounds, 1.4-1.65x on ab0's, 0.27-0.91x on 15 rows,
-# 0.18-0.31x on 20 and about 0.015x on 70; no compound has 11 to 14 rows
-MOD_DET_MIN_ROWS = 15
 
 _M64 = (1 << 64) - 1
 
@@ -189,14 +181,6 @@ def _tally(plan: FuzzPlan, failure_at) -> FuzzReport:
     return FuzzReport(plan=plan, passes=passes, failures=failures, passed=not failures, first_failure=first)
 
 
-def _divides_det(d: int, w: MatrixExpr) -> bool:
-    """d | det(w), where 0 divides only 0; from MOD_DET_MIN_ROWS rows and d != 0, taken mod |d|."""
-    if d and w.rows >= MOD_DET_MIN_ROWS:
-        return det_mod(w, abs(d)) == 0
-    det_w = det(w)
-    return det_w == 0 if d == 0 else det_w % d == 0
-
-
 def _run_divisibility(plan: FuzzPlan, apply_constraints: bool) -> FuzzReport:
     if plan.theorem not in DIVISIBILITY_THEOREMS:
         raise ValueError(f"divisibility fuzzing cannot run theorem {plan.theorem!r}")
@@ -205,7 +189,7 @@ def _run_divisibility(plan: FuzzPlan, apply_constraints: bool) -> FuzzReport:
         a, b = random_instance(plan, t, apply_constraints)
         w = compound_minor_products(a, b, plan.k).matrix
         d = forced_divisor(plan.theorem, a, b)
-        if _divides_det(d, w):
+        if divides_det(d, w):
             return None
         return lambda: {
             "trial": t,

@@ -10,12 +10,14 @@ from __future__ import annotations
 import random
 from functools import partial
 from itertools import combinations
+from math import isqrt
 
 import pytest
 
 from minordet import exactmat
 from minordet.exactmat import (
     BRUTE_FORCE_CAP,
+    MOD_DET_MIN_ROWS,
     WHOLE_PLAN_MAX_PRODUCTS,
     MatrixExpr,
     _expansion_plan,
@@ -195,6 +197,18 @@ def test_whole_plan_product_bound(monkeypatch):
         exactmat.det(MatrixExpr.identity(size))
     exactmat.det(_generic(8)[0])
     assert taken == [("laplace", s) for s in range(8)] + [("bareiss", 8), ("bareiss", 9), ("laplace", 8)]
+    # divides_det takes det_mod mod |d| from MOD_DET_MIN_ROWS rows when d != 0, det below it and for d = 0
+    assert 10 < MOD_DET_MIN_ROWS <= 20
+    taken.clear()
+    monkeypatch.setattr(exactmat, "det", lambda a: taken.append(("det", a.rows)) or 0)
+    monkeypatch.setattr(exactmat, "det_mod", lambda a, m: taken.append(("det_mod", a.rows, m)) or 0)
+    for rows in (MOD_DET_MIN_ROWS - 1, MOD_DET_MIN_ROWS, 70):
+        for d in (-6, 0, 7):
+            assert exactmat.divides_det(d, MatrixExpr.identity(rows))
+    below, at = MOD_DET_MIN_ROWS - 1, MOD_DET_MIN_ROWS
+    assert taken == [("det", below)] * 3 + [
+        ("det_mod", at, 6), ("det", at), ("det_mod", at, 7), ("det_mod", 70, 6), ("det", 70), ("det_mod", 70, 7)
+    ]
 
 
 def test_det_three_way_agreement_random():
@@ -327,6 +341,22 @@ def test_det_mod_reduction_at_its_edges(monkeypatch):
             a = MatrixExpr.from_rows(rows)
             assert det_mod(a, m) == det_bareiss(a) % m, (n, m)
     assert len(xgcd_calls) >= 6
+    # for each slot width of 1 to 8 bytes the largest m it holds, (2n + 2) m^2 < 2^(8w): the
+    # max-growth matrices above, and the first of them with a column of 2s and 3s, no unit mod
+    # the largest multiple of 6 below that m, so that the 2 x 2 step runs
+    for w in range(1, 9):
+        for n in (2, 3, 16, 17):
+            m = isqrt(((1 << 8 * w) - 1) // (2 * n + 2))
+            full = MatrixExpr(n, n, [1 if r == c else m - 1 for r in range(n) for c in range(n)])
+            upper = MatrixExpr(n, n, [1 if r == c else (m - 1) * (c > r) for r in range(n) for c in range(n)])
+            for a in (full, upper):
+                assert det_mod(a, m) == det_bareiss(a) % m, (w, n, m)
+            m -= m % 6
+            if m:
+                calls = len(xgcd_calls)
+                a = MatrixExpr.from_rows([[(2, 3)[r % 2]] + row[1:] for r, row in enumerate(full.row_list())])
+                assert det_mod(a, m) == det_bareiss(a) % m, (w, n, m)
+                assert len(xgcd_calls) > calls
 
 
 def test_det_bareiss_rejects_polynomials():

@@ -22,7 +22,6 @@ from minordet.oracle import (
     DIVISIBILITY_THEOREMS,
     MAX_N_DIVISIBILITY,
     MAX_N_SYLVESTER,
-    MOD_DET_MIN_ROWS,
     THEOREMS,
     FuzzPlan,
     check_griolv_k2,
@@ -220,7 +219,6 @@ def test_verdicts_do_not_change_across_the_modular_rule():
         (FuzzPlan("adb0", 6, 3, trials=6, seed=23, bound=1), 20),
         (FuzzPlan("b0", 7, 5, trials=3, seed=24, bound=50), 21),
     ]
-    assert 10 < MOD_DET_MIN_ROWS <= 20
     for plan, rows in plans:
         a, b = random_instance(plan, 0)
         assert compound_minor_products(a, b, plan.k).matrix.rows == rows
