@@ -9,7 +9,10 @@ the last row and column.  The compound of those minors for one matrix
 satisfies a classical power identity (check_sylvester; check_chio is its
 k = 1 case); for the entrywise product of the A-minor and the B-minor,
 zero-corner constraints force det A (or det A * det B) to divide the
-compound determinant.  Each theorem's constraints are stated once, in
+compound determinant.  check_sylvester derives the power identity at
+1 < k < n from chio, Sylvester's identity on Chio's condensation (`condense`)
+and the Sylvester-Franke theorem, which it checks up to FRANKE_CHECKED_N and
+cites above, up to MAX_N_SYLVESTER.  Each theorem's constraints are stated once, in
 THEOREM_CONSTRAINTS, and both evidence tiers read them there:
 `forced_entries` turns them into fixed entries of the symbolic matrices here
 and of the fuzzing oracle's integer draws, and `forced_divisor` derives the
@@ -22,11 +25,12 @@ the symbolic tier only: integer draws, and every check made on them, live in
 from __future__ import annotations
 
 import math
+import operator
 import time
 from dataclasses import dataclass, replace
 from itertools import combinations, product
 
-from .exactmat import MatrixExpr, bordered_minors, det, det_laplace
+from .exactmat import MatrixExpr, bordered_minors, det, det_laplace, submatrix
 from .polyring import Polynomial, PolyStats, VariableUniverse, _omit_none, exact_div
 
 # Each theorem's hypotheses on (A, B), shared by the symbolic checks and the fuzzing oracle.
@@ -39,6 +43,9 @@ THEOREM_CONSTRAINTS = {
 CONSTRAINT_FLAGS = frozenset().union(*THEOREM_CONSTRAINTS.values())
 
 SYMBOLIC_N_LIMIT = 3
+MAX_N_SYLVESTER = 7  # check_sylvester and check_chio refuse more; chio's det S took 1.3 s and 1.3 GB at n = 8
+# Sylvester-Franke is checked up to this size (size 4: 5-6 ms) and cited above (size 5: 18.9 s, 1.2 GB)
+FRANKE_CHECKED_N = 4
 
 
 @dataclass(frozen=True)
@@ -77,13 +84,16 @@ class VerificationReport:
     passed: bool
     witness: dict | None = None
     elapsed_ms: float = 0.0
+    evidence: str | None = None  # "derived" where a cited theorem closes the proof
 
     def to_json_dict(self) -> dict:
-        head = {"check": self.check, "n": self.n, "k": self.k, "pass": self.passed}
+        head = {"check": self.check, "n": self.n, "k": self.k, "pass": self.passed, "evidence": self.evidence}
         return _omit_none({**head, "witness": self.witness, "elapsed_ms": self.elapsed_ms})
 
     def summary(self) -> str:
-        return f"{self.check} n={self.n} k={self.k}: {'PASS' if self.passed else 'FAIL'} ({self.elapsed_ms} ms)"
+        verdict = "PASS" if self.passed else "FAIL"
+        cited = ", derived citing the Sylvester-Franke theorem" if self.evidence == "derived" else ""
+        return f"{self.check} n={self.n} k={self.k}: {verdict}{cited} ({self.elapsed_ms} ms)"
 
 
 @dataclass
@@ -210,6 +220,21 @@ def compound_minor_products(a: MatrixExpr, b: MatrixExpr, k: int) -> CompoundMat
     return CompoundMatrix(family, m)
 
 
+def compound(m: MatrixExpr, k: int, size: int) -> MatrixExpr:
+    """C_k(m padded with zeros to size x size), as the bordered minors of [[m, 0], [0, 1]]."""
+    zero, one = (0, 1) if m.universe is None else (Polynomial.zero(m.universe), Polynomial.one(m.universe))
+    rows = m.row_list() + [[]] * (size - m.rows)
+    ent = [e for row in rows for e in row + [zero] * (size + 1 - len(row))] + [zero] * size + [one]
+    return compound_minors(MatrixExpr(size + 1, size + 1, ent, m.universe), k).matrix
+
+
+def condense(a: MatrixExpr):
+    """Chio's condensation (S, c) of (n+1) x (n+1) `a`: its corner c and S = c A' - u v^T, whose entry
+    c a_ij - a_i,n+1 a_n+1,j is the 2 x 2 bordered minor on (i, j), so S is taken as the k = 1 compound."""
+    n = a.rows - 1
+    return MatrixExpr(n, n, bordered_minors(a, 1), a.universe), a.entry(n + 1, n + 1)
+
+
 def _subset_family(n: int, k: int) -> tuple[tuple[int, ...], ...]:
     """The k-subsets of {1..n} in combinations order, for 0 <= k <= n."""
     if not 0 <= k <= n:
@@ -234,6 +259,11 @@ def power_identity(a: MatrixExpr, k: int):
     return det(compound_minors(a, k).matrix), corner**p * det(a) ** q
 
 
+def franke_identity(m: MatrixExpr, k: int):
+    """(det C_k(m), det(m)^C(n-1, k-1)) for n x n `m`, equal by the Sylvester-Franke theorem."""
+    return det(compound(m, k, m.rows)), det(m) ** (math.comb(m.rows - 1, k - 1) if k else 0)
+
+
 def symbolic_quotient(theorem: str, a: MatrixExpr, b: MatrixExpr, k: int):
     """(det W, forced divisor, det W / divisor or None) for a symbolic pair.
 
@@ -251,17 +281,45 @@ def symbolic_quotient(theorem: str, a: MatrixExpr, b: MatrixExpr, k: int):
 
 
 def check_sylvester(n: int, k: int) -> VerificationReport:
-    """Symbolic power identity for the compound of bordered minors of one matrix."""
+    """Symbolic power identity det Cb_k(A) = c^C(n-1, k) det A^C(n-1, k-1) for one generic matrix.
+
+    k in {0, 1, n} expands both sides.  Any other k is derived, with (S, c) = condense(A), from
+    Sylvester's identity c^(k-1) Cb_k(A) = C_k(S) entry by entry, chio det S = c^(n-1) det A and the
+    Sylvester-Franke theorem det C_k(S) = det S^C(n-1, k-1) (Tornheim, Amer. Math. Monthly 1952): as
+    (n-1) C(n-1, k-1) - (k-1) C(n, k) = C(n-1, k), cancelling c^((k-1) C(n, k)) in the domain Z[x]
+    leaves the identity.  The first two are checked; Sylvester-Franke is checked on a generic n x n
+    matrix up to FRANKE_CHECKED_N and cited above it, where the report's evidence is "derived".
+    """
     t0 = time.perf_counter()
+    if n > MAX_N_SYLVESTER:
+        raise ValueError(f"the power identity is checked symbolically up to n = {MAX_N_SYLVESTER}")
     a, _ = _single_generic(n)
-    lhs, rhs = power_identity(a, k)
-    passed = lhs == rhs
-    witness = None
-    if not passed:
-        witness = {"lhs_stats": lhs.stats().to_json_dict(), "rhs_stats": rhs.stats().to_json_dict()}
+    evidence = witness = None
+    if not 1 < k < n:
+        lhs, rhs = power_identity(a, k)
+        if lhs != rhs:
+            witness = {"lhs_stats": lhs.stats().to_json_dict(), "rhs_stats": rhs.stats().to_json_dict()}
+    else:
+        failures = _derivation_failures(a, k)
+        witness = {"failures": failures} if failures else None
+        evidence = "derived" if n > FRANKE_CHECKED_N else None
     return VerificationReport(
-        check="sylvester", n=n, k=k, passed=passed, witness=witness, elapsed_ms=_ms(t0)
+        check="sylvester", n=n, k=k, passed=witness is None, witness=witness, evidence=evidence, elapsed_ms=_ms(t0)
     )
+
+
+def _derivation_failures(a: MatrixExpr, k: int) -> list[str]:
+    """The checked steps of check_sylvester's derivation at 1 <= k <= n that fail."""
+    n = a.rows - 1
+    s, c = condense(a)
+    failures = []
+    if [c ** (k - 1) * minor for minor in bordered_minors(a, k)] != compound(s, k, n).entries:
+        failures.append("entrywise")
+    if not operator.eq(*power_identity(a, 1)):
+        failures.append("chio")
+    if n <= FRANKE_CHECKED_N and not operator.eq(*franke_identity(_single_generic(n - 1)[0], k)):
+        failures.append("Sylvester-Franke")
+    return failures
 
 
 def check_chio(n: int) -> VerificationReport:
@@ -309,23 +367,21 @@ def check_lemma_adb0(n: int, k: int) -> VerificationReport:
     Verifies det A | det W by exact division, together with the two
     structural facts that drive it: det A factors through the corner times
     det A_top, A's top-left n x n block, and every bordered minor of A
-    through the corner times the unbordered minor.  Both right-hand factors
-    come from [[A_top, 0], [0, 1]]: its determinant and its bordered minors.
+    through the corner times the unbordered minor, an entry of C_k(A_top).
     """
     t0 = time.perf_counter()
     if n > SYMBOLIC_N_LIMIT:
         raise ValueError(f"check_lemma_adb0 is symbolic and bounded at n <= {SYMBOLIC_N_LIMIT}")
-    a, b, universe = build_generic(GenericSpec(n, THEOREM_CONSTRAINTS["adb0"]))
+    a, b, _ = build_generic(GenericSpec(n, THEOREM_CONSTRAINTS["adb0"]))
     corner = a.entry(n + 1, n + 1)
     det_w, det_a, q = symbolic_quotient("adb0", a, b, k)
-    zero, one = Polynomial.zero(universe), Polynomial.one(universe)
-    block = MatrixExpr.from_rows([r[:n] + [zero] for r in a.row_list()[:n]] + [[zero] * n + [one]], universe)
+    top = submatrix(a, range(1, n + 1), range(1, n + 1))
     failures = []
-    if det_a != corner * det_laplace(block):
+    if det_a != corner * det_laplace(top):
         failures.append("corner-block factorization")
-    compound = compound_minors(a, k)
-    pairs = product(compound.family, repeat=2)  # row-major, like the entries
-    for (row_set, col_set), bordered, minor in zip(pairs, compound.matrix.entries, bordered_minors(block, k)):
+    cb = compound_minors(a, k)
+    pairs = product(cb.family, repeat=2)  # row-major, like the entries
+    for (row_set, col_set), bordered, minor in zip(pairs, cb.matrix.entries, compound(top, k, n).entries):
         if bordered != corner * minor:
             failures.append(f"minor factorization at ({row_set}, {col_set})")
             break

@@ -28,14 +28,15 @@ from itertools import combinations, product
 
 from .exactmat import MatrixExpr, det_bareiss, divides_det, matmul
 from .identities import (
+    MAX_N_SYLVESTER,
     SYMBOLIC_N_LIMIT,
     THEOREM_CONSTRAINTS,
     GenericSpec,
     VerificationReport,
     _ms,
     build_generic,
+    compound,
     compound_minor_products,
-    compound_minors,
     forced_divisor,
     forced_entries,
     power_identity,
@@ -47,7 +48,6 @@ DIVISIBILITY_THEOREMS = tuple(THEOREM_CONSTRAINTS)
 THEOREMS = DIVISIBILITY_THEOREMS + ("sylv",)
 
 MAX_N_DIVISIBILITY = 8
-MAX_N_SYLVESTER = 7
 
 _M64 = (1 << 64) - 1
 
@@ -279,13 +279,6 @@ def check_griolv_k2(n: int, trials: int = 100, seed: int = 0, bound: int = 100) 
     )
 
 
-def _compound(m: MatrixExpr, k: int, size: int) -> MatrixExpr:
-    """C_k(m padded with zeros to size x size), as the bordered minors of [[m, 0], [0, 1]]."""
-    rows = m.row_list() + [[]] * (size - m.rows)
-    ent = [e for row in rows for e in row + [0] * (size + 1 - len(row))] + [0] * size + [1]
-    return compound_minors(MatrixExpr(size + 1, size + 1, ent), k).matrix
-
-
 def check_cauchy_binet(
     dims: tuple[int, int, int],
     k: int,
@@ -317,8 +310,8 @@ def check_cauchy_binet(
         rng = trial_rng(seed, t)
         a = rand_int_matrix(rng, n, p, bound)
         b = rand_int_matrix(rng, p, m, bound)
-        left = _compound(matmul(a, b), k, size).entries
-        right = matmul(_compound(a, k, size), _compound(b, k, size)).entries
+        left = compound(matmul(a, b), k, size).entries
+        right = matmul(compound(a, k, size), compound(b, k, size)).entries
         for (row_set, col_set), lhs, rhs in zip(pairs, left, right):
             if lhs != rhs:
                 return {

@@ -127,6 +127,15 @@ def test_verify_usage_errors(capsys):
         assert captured.out == ""
 
 
+def test_power_identity_ceiling_refuses_before_building(capsys):
+    # n = 8 is refused before any matrix is built, so neither request can run out of memory
+    for check in ("chio", "sylvester"):
+        assert main(["verify", "--check", check, "--n", "8"]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == "error: the power identity is checked symbolically up to n = 7\n"
+        assert captured.out == ""
+
+
 def test_unknown_arguments_exit_2(capsys):
     with pytest.raises(SystemExit) as e:
         main(["verify", "--check", "sylvester", "--n", "2", "--wat"])

@@ -2,7 +2,8 @@
 
 The runs cover fuzzing (whose negative-control witnesses embed the drawn
 matrices, so the seeded draw and the constraint wiring are pinned), the
-symbolic checks, the power identity and its chio case, cauchy-binet and the
+symbolic checks, the power identity (expanded, and derived with the
+Sylvester-Franke theorem cited) and its chio case, cauchy-binet and the
 quotient sizes.  Record the file again with
 `PYTHONPATH=src python tests/test_golden.py` only when a change of output is
 intended.
@@ -46,6 +47,7 @@ RUNS = [
     "verify --check griolv --n 2",
     "fuzz --theorem b0 --n 6 --k 3 --trials 5 --seed 7 --bound 50 --negative-control",
     "fuzz --theorem adb0 --n 7 --k 3 --trials 3 --seed 2 --bound 2",
+    "verify --check sylvester --n 5 --k 2",
 ]
 
 

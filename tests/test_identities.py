@@ -14,17 +14,20 @@ from itertools import combinations, product
 
 import pytest
 
-from minordet import exactmat, polyring
+from minordet import exactmat, identities, polyring
 from minordet.exactmat import MatrixExpr, brute_force_det, det_bareiss, det_laplace, matmul, submatrix
 from minordet.identities import (
     CONSTRAINT_FLAGS,
     SYMBOLIC_N_LIMIT,
     THEOREM_CONSTRAINTS,
     GenericSpec,
+    _derivation_failures,
+    _single_generic,
     build_generic,
     check_chio,
     check_lemma_adb0,
     check_sylvester,
+    compound,
     compound_minor_products,
     compound_minors,
     power_identity,
@@ -32,7 +35,6 @@ from minordet.identities import (
 )
 from minordet.oracle import (
     FuzzPlan,
-    _compound,
     check_cauchy_binet,
     check_griolv_k2,
     fuzz_divisibility,
@@ -136,6 +138,7 @@ def test_compound_family_counts_and_order():
 
 
 def test_compound_minors_k1_formula():
+    # C_1 is Chio's condensation S = c A' - u v^T, which condense returns with the corner c
     a, _, _ = build_generic(GenericSpec(2))
     c = compound_minors(a, 1)
     assert c.matrix.rows == 2
@@ -144,6 +147,7 @@ def test_compound_minors_k1_formula():
         for j in (1, 2):
             want = a.entry(i, j) * a.entry(3, 3) - a.entry(i, 3) * a.entry(3, j)
             assert c.matrix.entry(i, j) == want
+    assert identities.condense(a) == (c.matrix, a.entry(3, 3))
 
 
 def test_minor_products_are_entrywise():
@@ -189,6 +193,46 @@ def test_sylvester_numeric_spot_check():
         assert lhs == det_bareiss(compound_minors(mat, k).matrix) == rhs
 
 
+def test_derived_route_agrees_with_direct_expansion():
+    # the derivation starts at k = 1 (Sylvester's identity carries c^(k-1)), so k = 0 is direct only
+    for n, k in [(n, k) for n in (1, 2, 3) for k in range(1, n + 1)] + [(4, 2)]:
+        a, _ = _single_generic(n)
+        lhs, rhs = power_identity(a, k)
+        assert lhs == rhs and _derivation_failures(a, k) == [], (n, k)
+    for n in (1, 2, 3):
+        assert check_sylvester(n, 0).passed
+
+
+def test_derived_route_names_the_failed_step(monkeypatch):
+    engine = identities.bordered_minors
+
+    def one_wrong_minor(m, k):  # in Cb_2(A) only: the padded S and Franke's matrix have corner 1
+        minors = engine(m, k)
+        if k == 2 and m.entries[-1] != 1:
+            minors[0] += 1
+        return minors
+
+    monkeypatch.setattr(identities, "bordered_minors", one_wrong_minor)
+    rep = check_sylvester(3, 2)
+    assert not rep.passed and rep.witness == {"failures": ["entrywise"]} and rep.evidence is None
+    monkeypatch.undo()
+    monkeypatch.setattr(identities, "power_identity", lambda a, k: (det_laplace(a), det_laplace(a) + 1))
+    assert check_sylvester(3, 2).witness == {"failures": ["chio"]}
+    rep = check_sylvester(5, 2)  # Sylvester-Franke is cited at n = 5, not checked
+    assert rep.witness == {"failures": ["chio"]} and rep.evidence == "derived"
+    monkeypatch.undo()
+    monkeypatch.setattr(identities, "franke_identity", lambda m, k: (det_laplace(m), det_laplace(m) + 1))
+    assert check_sylvester(4, 3).witness == {"failures": ["Sylvester-Franke"]}
+    assert check_sylvester(5, 3).passed
+
+
+def test_derivation_exponents_cancel():
+    # c^((k-1) C(n, k)) det Cb_k = c^((n-1) C(n-1, k-1)) det A^C(n-1, k-1) leaves c^C(n-1, k)
+    for n in range(1, 13):
+        for k in range(1, n + 1):
+            assert (n - 1) * math.comb(n - 1, k - 1) - (k - 1) * math.comb(n, k) == math.comb(n - 1, k), (n, k)
+
+
 def test_chio_small():
     for n in (1, 2, 3):
         rep = check_chio(n)
@@ -222,7 +266,7 @@ def test_compound_matches_brute_force_minors():
             for size in (max(rows, cols), max(rows, cols) + 1):
                 for k in range(size + 1):
                     family = tuple(combinations(range(1, size + 1), k))
-                    c = _compound(m, k, size)
+                    c = compound(m, k, size)
                     assert (c.rows, c.cols) == (len(family), len(family))
                     for (r, q), got in zip(product(family, repeat=2), c.entries):
                         inside = all(i <= rows for i in r) and all(j <= cols for j in q)
@@ -358,6 +402,11 @@ def test_report_json_shapes():
     d = rep.to_json_dict()
     assert list(d) == ["check", "n", "k", "pass", "elapsed_ms"]
     assert d["pass"] is True
+    # only a proof that cites Sylvester-Franke (at n > 4) says so
+    assert check_sylvester(5, 1).evidence is None and check_sylvester(4, 2).evidence is None
+    rep = check_sylvester(5, 2)
+    assert list(rep.to_json_dict()) == ["check", "n", "k", "pass", "evidence", "elapsed_ms"]
+    assert rep.evidence == "derived" and "derived citing the Sylvester-Franke theorem" in rep.summary()
 
     q = quotient("ab0", 1, 1).to_json_dict()
     assert list(q) == ["check", "n", "k", "mode", "pass", "stats", "detw_stats", "elapsed_ms"]

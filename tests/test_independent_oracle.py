@@ -20,6 +20,7 @@ from minordet.identities import (
     GenericSpec,
     _single_generic,
     build_generic,
+    franke_identity,
     power_identity,
     symbolic_quotient,
 )
@@ -107,6 +108,22 @@ def test_power_identity(n):
         rhs = _mul(_pow(a[n][n], p, nvars), _pow(_det(a, nvars), q, nvars))
         assert lhs == rhs, k
         got_lhs, got_rhs = power_identity(minordet_a, k)
+        assert _decode(got_lhs, names) == lhs and _decode(got_rhs, names) == rhs, k
+
+
+@pytest.mark.parametrize("size", [3, 4])
+def test_sylvester_franke(size):
+    # det C_k(M) = det(M)^C(size-1, k-1) on a generic size x size M, the theorem the derived route cites above 4
+    names, (m,) = _generic(size - 1, "a")
+    nvars = len(names)
+    minordet_m, _ = _single_generic(size - 1)
+    for k in range(size + 1):
+        family = list(combinations(range(size), k))
+        compound = [[_det([[m[r][c] for c in cols] for r in rows], nvars) for cols in family] for rows in family]
+        lhs = _det(compound, nvars)
+        rhs = _pow(_det(m, nvars), comb(size - 1, k - 1) if k else 0, nvars)
+        assert lhs == rhs, k
+        got_lhs, got_rhs = franke_identity(minordet_m, k)
         assert _decode(got_lhs, names) == lhs and _decode(got_rhs, names) == rhs, k
 
 
