@@ -28,7 +28,6 @@ from .oracle import (
     check_cauchy_binet,
     check_griolv_k2,
     fuzz_divisibility,
-    fuzz_sylvester,
     negative_control,
     random_instance,
 )
@@ -68,7 +67,6 @@ __all__ = [
     "evaluate_matrix",
     "exact_div",
     "fuzz_divisibility",
-    "fuzz_sylvester",
     "matmul",
     "negative_control",
     "quotient",

@@ -25,7 +25,6 @@ from .oracle import (
     check_griolv_k2,
     divisibility,
     fuzz_divisibility,
-    fuzz_sylvester,
     negative_control,
 )
 
@@ -66,7 +65,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_quotient.add_argument("--json", action="store_true")
 
     p_fuzz = sub.add_parser("fuzz", help="randomized integer checks")
-    p_fuzz.add_argument("--theorem", required=True, choices=("b0", "ab0", "adb0", "sylv"))
+    p_fuzz.add_argument("--theorem", required=True, choices=("b0", "ab0", "adb0"))
     p_fuzz.add_argument("--n", required=True, type=int)
     p_fuzz.add_argument("--k", required=True, type=int)
     p_fuzz.add_argument("--trials", required=True, type=int)
@@ -135,8 +134,6 @@ def main(argv=None) -> int:
             plan = FuzzPlan(args.theorem, args.n, args.k, args.trials, args.seed, args.bound)
             if args.negative_control:
                 rep = negative_control(plan)
-            elif args.theorem == "sylv":
-                rep = fuzz_sylvester(plan)
             else:
                 rep = fuzz_divisibility(plan)
             return _emit(args, [rep])

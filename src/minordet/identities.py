@@ -256,7 +256,7 @@ def power_identity(a: MatrixExpr, k: int):
     n = a.rows - 1
     p, q = math.comb(n - 1, k), math.comb(n - 1, k - 1) if k else 0
     corner = a.entry(a.rows, a.cols)
-    return det(compound_minors(a, k).matrix), corner**p * det(a) ** q
+    return det(compound_minors(a, k).matrix), corner**p * det(a) ** q if q else corner**p
 
 
 def franke_identity(m: MatrixExpr, k: int):

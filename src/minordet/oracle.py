@@ -3,8 +3,8 @@
 Polynomial identities and divisibilities survive every integer
 specialization, so random integer matrices give an independent, cheap
 oracle: build the compound of bordered minors numerically and test
-divisibility or the power identity pointwise.  Whether d | det W is decided
-by `exactmat.divides_det`, which alone picks the determinant method by size.
+divisibility pointwise.  Whether d | det W is decided by
+`exactmat.divides_det`, which alone picks the determinant method by size.
 The entries each theorem fixes and the divisor it forces come from
 the same rules as the symbolic checks (`forced_entries`, `forced_divisor`).
 Negative controls run the same pipeline with the structural constraints
@@ -28,7 +28,6 @@ from itertools import combinations, product
 
 from .exactmat import MatrixExpr, det_bareiss, divides_det, matmul
 from .identities import (
-    MAX_N_SYLVESTER,
     SYMBOLIC_N_LIMIT,
     THEOREM_CONSTRAINTS,
     GenericSpec,
@@ -39,13 +38,11 @@ from .identities import (
     compound_minor_products,
     forced_divisor,
     forced_entries,
-    power_identity,
     quotient,
 )
 from .polyring import _omit_none
 
 DIVISIBILITY_THEOREMS = tuple(THEOREM_CONSTRAINTS)
-THEOREMS = DIVISIBILITY_THEOREMS + ("sylv",)
 
 MAX_N_DIVISIBILITY = 8
 
@@ -94,16 +91,12 @@ class FuzzPlan:
     bound: int
 
     def __post_init__(self):
-        if self.theorem not in THEOREMS:
+        if self.theorem not in DIVISIBILITY_THEOREMS:
             raise ValueError(f"unknown theorem: {self.theorem!r}")
         if self.n < 0:
             raise ValueError("n must be nonnegative")
-        if self.theorem in DIVISIBILITY_THEOREMS and self.n > MAX_N_DIVISIBILITY:
+        if self.n > MAX_N_DIVISIBILITY:
             raise ValueError(f"divisibility fuzzing is bounded at n <= {MAX_N_DIVISIBILITY}")
-        if self.theorem == "sylv" and self.n > MAX_N_SYLVESTER:
-            raise ValueError(f"power-identity fuzzing is bounded at n <= {MAX_N_SYLVESTER}")
-        if self.theorem == "sylv" and self.n < 1:
-            raise ValueError(f"need 1 <= n and 0 <= k <= n, got n={self.n} k={self.k}")
         if not (0 <= self.k <= self.n):
             raise ValueError("need 0 <= k <= n")
         if self.trials < 1:
@@ -156,50 +149,32 @@ def random_instance(plan: FuzzPlan, trial: int, apply_constraints: bool = True):
     a = rand_int_matrix(rng, size, size, plan.bound)
     b = rand_int_matrix(rng, size, size, plan.bound)
     if apply_constraints:
-        constraints = THEOREM_CONSTRAINTS.get(plan.theorem, frozenset())  # sylv has none
+        constraints = THEOREM_CONSTRAINTS[plan.theorem]
         for letter, m in (("a", a), ("b", b)):
             for (i, j), value in forced_entries(letter, plan.n, constraints).items():
                 m.entries[(i - 1) * size + j - 1] = value
     return a, b
 
 
-def _tally(plan: FuzzPlan, failure_at) -> FuzzReport:
-    """Run every trial of the plan.
-
-    failure_at(t) is None on a pass, else a function that builds the
-    failure's witness; only the first failure's is built.
-    """
-    passes = 0
-    first = None
-    for t in range(plan.trials):
-        failure = failure_at(t)
-        if failure is None:
-            passes += 1
-        elif first is None:
-            first = failure()
-    failures = plan.trials - passes
-    return FuzzReport(plan=plan, passes=passes, failures=failures, passed=not failures, first_failure=first)
-
-
 def _run_divisibility(plan: FuzzPlan, apply_constraints: bool) -> FuzzReport:
-    if plan.theorem not in DIVISIBILITY_THEOREMS:
-        raise ValueError(f"divisibility fuzzing cannot run theorem {plan.theorem!r}")
-
-    def failure_at(t: int):
+    """Run every trial of the plan; only the first failure's witness is built."""
+    passes, first = 0, None
+    for t in range(plan.trials):
         a, b = random_instance(plan, t, apply_constraints)
         w = compound_minor_products(a, b, plan.k).matrix
         d = forced_divisor(plan.theorem, a, b)
         if divides_det(d, w):
-            return None
-        return lambda: {
-            "trial": t,
-            "a": a.row_list(),
-            "b": b.row_list(),
-            "det_w": det_bareiss(w),
-            "divisor": d,
-        }
-
-    return _tally(plan, failure_at)
+            passes += 1
+        elif first is None:
+            first = {
+                "trial": t,
+                "a": a.row_list(),
+                "b": b.row_list(),
+                "det_w": det_bareiss(w),
+                "divisor": d,
+            }
+    failures = plan.trials - passes
+    return FuzzReport(plan=plan, passes=passes, failures=failures, passed=not failures, first_failure=first)
 
 
 def fuzz_divisibility(plan: FuzzPlan) -> FuzzReport:
@@ -222,21 +197,6 @@ def negative_control(plan: FuzzPlan) -> FuzzReport:
         report.note = "escalated" if report.failures else "anomaly"
     report.passed = report.failures >= 1 or report.note == "vacuous"
     return report
-
-
-def fuzz_sylvester(plan: FuzzPlan) -> FuzzReport:
-    """Power identity for the single-matrix compound at random integer points."""
-    if plan.theorem != "sylv":
-        raise ValueError("fuzz_sylvester needs theorem 'sylv'")
-
-    def failure_at(t: int):
-        a, _ = random_instance(plan, t)
-        lhs, rhs = power_identity(a, plan.k)
-        if lhs == rhs:
-            return None
-        return lambda: {"trial": t, "a": a.row_list(), "lhs": lhs, "rhs": rhs}
-
-    return _tally(plan, failure_at)
 
 
 def divisibility(theorem: str, n: int, k: int, trials: int, seed: int, bound: int):

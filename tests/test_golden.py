@@ -25,7 +25,6 @@ GOLDEN = Path(__file__).with_name("golden_cli.json")
 RUNS = [
     "fuzz --theorem adb0 --n 4 --k 2 --trials 50 --seed 3 --bound 50",
     "fuzz --theorem ab0 --n 5 --k 2 --trials 50 --seed 4 --bound 50",
-    "fuzz --theorem sylv --n 4 --k 2 --trials 50 --seed 5 --bound 50",
     "fuzz --theorem b0 --n 3 --k 2 --trials 5 --seed 7 --bound 100 --negative-control",
     "fuzz --theorem ab0 --n 4 --k 2 --trials 5 --seed 8 --bound 20 --negative-control",
     "fuzz --theorem adb0 --n 4 --k 1 --trials 5 --seed 9 --bound 20 --negative-control",

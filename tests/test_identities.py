@@ -38,7 +38,6 @@ from minordet.oracle import (
     check_cauchy_binet,
     check_griolv_k2,
     fuzz_divisibility,
-    fuzz_sylvester,
     rand_int_matrix,
     random_instance,
 )
@@ -74,8 +73,6 @@ def test_power_identity_exponents_known_values():
         check_sylvester(0, 0)
     with pytest.raises(ValueError, match=refusal.format(3, 4)):
         check_sylvester(3, 4)
-    with pytest.raises(ValueError, match=refusal.format(0, 0)):
-        fuzz_sylvester(FuzzPlan("sylv", 0, 0, 1, 0, 1))
 
 
 def test_build_generic_unconstrained_counts():
@@ -201,6 +198,21 @@ def test_derived_route_agrees_with_direct_expansion():
         assert lhs == rhs and _derivation_failures(a, k) == [], (n, k)
     for n in (1, 2, 3):
         assert check_sylvester(n, 0).passed
+
+
+def test_k0_power_identity_takes_no_det_of_a(monkeypatch):
+    # det(A)^C(n-1, k-1) has exponent 0 at k = 0, so only the 1 x 1 compound's det is taken
+    engine, sizes = identities.det, []
+
+    def recording(m):
+        sizes.append(m.rows)
+        return engine(m)
+
+    monkeypatch.setattr(identities, "det", recording)
+    for n in range(1, 8):
+        sizes.clear()
+        assert check_sylvester(n, 0).passed, n
+        assert sizes == [1], (n, sizes)
 
 
 def test_derived_route_names_the_failed_step(monkeypatch):

@@ -2,15 +2,14 @@
 
 from __future__ import annotations
 
-import json
 import random
 
 import pytest
 
 from minordet import identities, oracle
-from minordet.cli import main
 from minordet.exactmat import det_bareiss, evaluate_matrix
 from minordet.identities import (
+    MAX_N_SYLVESTER,
     THEOREM_CONSTRAINTS,
     GenericSpec,
     build_generic,
@@ -21,15 +20,13 @@ from minordet.identities import (
 from minordet.oracle import (
     DIVISIBILITY_THEOREMS,
     MAX_N_DIVISIBILITY,
-    MAX_N_SYLVESTER,
-    THEOREMS,
     FuzzPlan,
     check_griolv_k2,
     fuzz_divisibility,
-    fuzz_sylvester,
     negative_control,
     rand_int_matrix,
     random_instance,
+    trial_rng,
 )
 
 
@@ -44,16 +41,18 @@ def test_plan_validation():
     with pytest.raises(ValueError):
         FuzzPlan("b0", MAX_N_DIVISIBILITY + 1, 2, trials=10, seed=0, bound=5)
     with pytest.raises(ValueError):
-        FuzzPlan("sylv", MAX_N_SYLVESTER + 1, 2, trials=10, seed=0, bound=5)
-    with pytest.raises(ValueError, match=r"^need 1 <= n and 0 <= k <= n, got n=0 k=0$"):
-        FuzzPlan("sylv", 0, 0, 1, 0, 1)
-    with pytest.raises(ValueError):
         FuzzPlan("b0", 3, 4, trials=10, seed=0, bound=5)
     with pytest.raises(ValueError):
         FuzzPlan("b0", 3, 2, trials=0, seed=0, bound=5)
     with pytest.raises(ValueError):
         FuzzPlan("b0", 3, 2, trials=10, seed=0, bound=0)
-    assert set(DIVISIBILITY_THEOREMS) < set(THEOREMS)
+
+
+def test_power_identity_has_no_fuzz_plan():
+    # verify --check sylvester proves it exactly at every n the pointwise path took
+    for n in range(1, MAX_N_SYLVESTER + 1):
+        with pytest.raises(ValueError, match=r"^unknown theorem: 'sylv'$"):
+            FuzzPlan("sylv", n, n // 2, 1, 0, 1)
 
 
 def test_rand_int_matrix_draws_what_randint_draws():
@@ -137,8 +136,6 @@ def test_fuzz_divisibility_clean_runs():
         assert rep.failures == 0
         assert rep.passes == 15
         assert rep.first_failure is None
-    with pytest.raises(ValueError):
-        fuzz_divisibility(FuzzPlan("sylv", 2, 1, trials=5, seed=0, bound=5))
 
 
 def test_fuzz_divisibility_is_reproducible():
@@ -146,19 +143,9 @@ def test_fuzz_divisibility_is_reproducible():
     assert fuzz_divisibility(plan).to_json_dict() == fuzz_divisibility(plan).to_json_dict()
 
 
-def test_fuzz_sylvester_clean_runs():
-    for n, k in [(2, 1), (3, 2), (4, 2)]:
-        plan = FuzzPlan("sylv", n, k, trials=15, seed=6, bound=25)
-        rep = fuzz_sylvester(plan)
-        assert rep.failures == 0 and rep.passes == 15
-    with pytest.raises(ValueError):
-        fuzz_sylvester(FuzzPlan("b0", 2, 1, trials=5, seed=0, bound=5))
-
-
 def test_zero_corner_kills_compound_det_below_top_k():
     # corner^p with p >= 1 forces the compound determinant to vanish
-    plan = FuzzPlan("sylv", 3, 1, trials=1, seed=13, bound=30)
-    a, _ = random_instance(plan, 0)
+    a = rand_int_matrix(trial_rng(13, 0), 4, 4, 30)
     a.entries[-1] = 0
     for k in (0, 1, 2):
         comp = compound_minors(a, k)
@@ -172,8 +159,6 @@ def test_negative_control_detects_missing_constraints():
     assert rep.note is None
     assert rep.first_failure is not None
     assert rep.first_failure["divisor"] != 0
-    with pytest.raises(ValueError):
-        negative_control(FuzzPlan("sylv", 2, 1, trials=5, seed=0, bound=5))
 
 
 def test_negative_control_vacuous_cases():
@@ -255,31 +240,6 @@ def test_griolv_reports_a_wrong_entry_ahead_of_divisibility(monkeypatch):
     rep = check_griolv_k2(4, trials=10, seed=1, bound=20)
     assert not rep.passed
     assert rep.witness == {"row_set": [1, 3], "col_set": [2, 4], "problem": "entry"}
-
-
-def test_fuzz_sylvester_reports_its_first_failure(monkeypatch, capsys):
-    # an identity off by one on every draw: trial 0 is the witness, and the fuzz verb exits 1
-    original = oracle.power_identity
-
-    def off_by_one(a, k):
-        lhs, rhs = original(a, k)
-        return lhs, rhs + 1
-
-    monkeypatch.setattr(oracle, "power_identity", off_by_one)
-    plan = FuzzPlan("sylv", 3, 2, trials=4, seed=5, bound=25)
-    rep = fuzz_sylvester(plan)
-    assert (rep.passes, rep.failures, rep.passed) == (0, 4, False)
-    assert list(rep.first_failure) == ["trial", "a", "lhs", "rhs"]
-    a, _ = random_instance(plan, 0)
-    assert rep.first_failure["trial"] == 0 and rep.first_failure["a"] == a.row_list()
-    assert rep.first_failure["rhs"] == rep.first_failure["lhs"] + 1
-    rc = main([
-        "fuzz", "--theorem", "sylv", "--n", "3", "--k", "2",
-        "--trials", "4", "--seed", "5", "--bound", "25", "--json",
-    ])
-    payload = json.loads(capsys.readouterr().out)
-    assert rc == 1
-    assert payload["failures"] == 4 and payload["first_failure"] == rep.first_failure
 
 
 def test_report_json_shape():
