@@ -177,9 +177,11 @@ def bordered_minors(a: MatrixExpr, k: int) -> list:
     minimum is at least k - t.  Each level expands along its first column,
     over every (t+1)-subset of rows 0..n, except the last level (t = k),
     which needs only the row sets I+.  A sub-minor that several (I, J) share
-    is thus expanded once, and levels below the current one are freed as the
-    expansion climbs.  With k = n the single minor is det(a).  Callers have
-    checked that `a` is (n+1) x (n+1) and 0 <= k <= n.
+    is thus expanded once.  On polynomials each list of minors below is
+    freed by the step that reads it last, each minor right after its last
+    product, so at the top level the level below shrinks while the sum
+    grows.  With k = n the single minor is det(a).  Callers have checked
+    that `a` is (n+1) x (n+1) and 0 <= k <= n.
 
     On integers each (size, k) plan is compiled once and kept (`_int_minors`),
     whole up to WHOLE_PLAN_MAX_PRODUCTS products, else one step per level for
@@ -190,17 +192,24 @@ def bordered_minors(a: MatrixExpr, k: int) -> list:
     if a.universe is None:
         return _int_minors(size, k)(a.entries)
     steps = [partial(sums_of_products, a.universe, sums=plan) for plan in _expansion_plan(size, k)]
-    return _expand(steps, Polynomial.one(a.universe), a.entries, size, k)
+    return _expand(steps, Polynomial.one(a.universe), a.entries, size, k, releases=True)
 
 
-def _expand(steps, one, ent: list, size: int, k: int) -> list:
-    """bordered_minors level by level: each step once per column suffix, with its column and the level below."""
+def _expand(steps, one, ent: list, size: int, k: int, releases: bool = False) -> list:
+    """bordered_minors level by level: each step once per column suffix, with its column and the level below.
+
+    In combinations order the last suffix to read a list below starts just below the list's first column
+    (at size - 2 on level 1) and takes the list popped from its level.  Where steps release what they read
+    (`releases`, as `sums_of_products` does), each earlier reader takes a copy."""
     level = {(): [one]}  # column suffix -> minors, indexed like that level's row sets
     for t, step in enumerate(steps):
-        level = {
-            cols: step(ent[cols[0] if cols else size - 1 :: size], level[cols[1:]])
-            for cols in combinations(range(k - t, size - 1), t)
-        }
+        below, level = level, {}
+        for cols in combinations(range(k - t, size - 1), t):
+            if not t or cols[0] + 1 == (cols[1] if t > 1 else size - 1):
+                minors = below.pop(cols[1:])
+            else:
+                minors = below[cols[1:]][:] if releases else below[cols[1:]]
+            level[cols] = step(ent[cols[0] if t else size - 1 :: size], minors)
     return [minor for row in zip(*level.values()) for minor in row]
 
 

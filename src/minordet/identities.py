@@ -30,7 +30,7 @@ import time
 from dataclasses import dataclass, replace
 from itertools import combinations, product
 
-from .exactmat import MatrixExpr, bordered_minors, det, det_laplace, submatrix
+from .exactmat import MatrixExpr, bordered_minors, det, det_laplace
 from .polyring import Polynomial, PolyStats, VariableUniverse, _omit_none, exact_div
 
 # Each theorem's hypotheses on (A, B), shared by the symbolic checks and the fuzzing oracle.
@@ -256,7 +256,8 @@ def power_identity(a: MatrixExpr, k: int):
     n = a.rows - 1
     p, q = math.comb(n - 1, k), math.comb(n - 1, k - 1) if k else 0
     corner = a.entry(a.rows, a.cols)
-    return det(compound_minors(a, k).matrix), corner**p * det(a) ** q if q else corner**p
+    rhs = corner**p * det(a) ** q if q else corner**p  # first: det A is freed before det C_k(a) is expanded
+    return det(compound_minors(a, k).matrix), rhs
 
 
 def franke_identity(m: MatrixExpr, k: int):
@@ -345,6 +346,8 @@ def quotient(
         raise ValueError(f"symbolic quotient is bounded at n <= {SYMBOLIC_N_LIMIT}")
     a, b, _ = build_generic(GenericSpec(n, THEOREM_CONSTRAINTS[mode]))
     det_w, _, q = symbolic_quotient(mode, a, b, k)
+    detw_stats, quotient_stats = det_w.stats(), None if q is None else q.stats()
+    del det_w, _, q  # freed, the divisor too, before the unconstrained det W is expanded
     unconstrained = None
     if unconstrained_count:
         ga, gb, _ = build_generic(GenericSpec(n, frozenset()))
@@ -353,9 +356,9 @@ def quotient(
         mode=mode,
         n=n,
         k=k,
-        divisible=q is not None,
-        quotient_stats=q.stats() if q is not None else None,
-        detw_stats=det_w.stats(),
+        divisible=quotient_stats is not None,
+        quotient_stats=quotient_stats,
+        detw_stats=detw_stats,
         unconstrained_detw_monomials=unconstrained,
         elapsed_ms=_ms(t0),
     )
@@ -375,7 +378,7 @@ def check_lemma_adb0(n: int, k: int) -> VerificationReport:
     a, b, _ = build_generic(GenericSpec(n, THEOREM_CONSTRAINTS["adb0"]))
     corner = a.entry(n + 1, n + 1)
     det_w, det_a, q = symbolic_quotient("adb0", a, b, k)
-    top = submatrix(a, range(1, n + 1), range(1, n + 1))
+    top = MatrixExpr.from_rows([row[:n] for row in a.row_list()[:n]], a.universe)
     failures = []
     if det_a != corner * det_laplace(top):
         failures.append("corner-block factorization")

@@ -39,6 +39,7 @@ from __future__ import annotations
 
 import math
 import re
+from collections import Counter
 from dataclasses import dataclass
 from functools import reduce
 from heapq import heappop, heappush
@@ -378,7 +379,11 @@ def _parts(x: Polynomial, shift: int | None) -> list[tuple[int, Polynomial]]:
 def sums_of_products(universe: VariableUniverse, ps: list, qs: list, sums) -> list[Polynomial]:
     """Per sum, the sum of ps[i]*qs[j] (negated where negate) over its (i, j, negate)
     triples.  Once `_block_shift` picks blocks, each operand is taken in blocks,
-    a flat one split once per call, and each sum is returned in its blocks."""
+    a flat one split once per call, and each sum is returned in its blocks.
+
+    The caller hands qs over: in blocks, each qs[j] and its split are set to None
+    right after the last triple that reads j, so a determinant's top level frees
+    the level below while its sum grows.  Pass a list you no longer need."""
     shift = _block_shift(universe, ps, qs)
     out: list[Polynomial] = []
     if shift is None:
@@ -389,12 +394,16 @@ def sums_of_products(universe: VariableUniverse, ps: list, qs: list, sums) -> li
             out.append(Polynomial._from_clean(universe, {m: c for m, c in acc.items() if c}))
         return out
     p_parts, q_parts = ([_parts(x, shift) for x in xs] for xs in (ps, qs))
+    reads = Counter(j for pairs in sums for _, j, _ in pairs)  # triples still to read each qs[j]
     for pairs in sums:
         blocks: dict[int, dict[int, int]] = {}
         for i, j, negate in pairs:
             for kp, bp in p_parts[i]:
                 for kq, bq in q_parts[j]:
                     accumulate_product(blocks.setdefault(kp + kq, {}), bp, bq, negate)
+            reads[j] -= 1
+            if not reads[j]:
+                qs[j] = q_parts[j] = None
         for block in blocks.values():  # zeros are rare: deleting beats copying
             for m in [m for m, c in block.items() if not c]:
                 del block[m]

@@ -14,7 +14,7 @@ from math import isqrt
 
 import pytest
 
-from minordet import exactmat
+from minordet import exactmat, polyring
 from minordet.exactmat import (
     BRUTE_FORCE_CAP,
     MOD_DET_MIN_ROWS,
@@ -25,6 +25,7 @@ from minordet.exactmat import (
     _level_steps,
     _whole_plan,
     _xgcd,
+    bordered_minors,
     brute_force_det,
     det_bareiss,
     det_laplace,
@@ -161,7 +162,7 @@ def test_det_known_values():
     assert (after.hits - before.hits, after.misses - before.misses) == (1, 0)
 
 
-def test_whole_plan_and_level_steps_give_the_same_minors():
+def test_whole_plan_and_level_steps_give_the_same_minors(monkeypatch):
     # both compiled forms of every plan up to size 8, on the same matrices; up to size 5 also
     # against the permutation sum of each bordered submatrix, which shares no code with either
     rng = random.Random(208)
@@ -176,6 +177,17 @@ def test_whole_plan_and_level_steps_give_the_same_minors():
                 if size <= 5:
                     family = [s + (size,) for s in combinations(range(1, size), k)]
                     assert minors == [brute_force_det(submatrix(a, i, j)) for i in family for j in family]
+    # so are the polynomial minors of a generic matrix, flat and with every product in blocks, where
+    # each step releases the list of minors below that it reads last, though several suffixes read it
+    for size in range(1, 6):
+        g, _ = _generic(size)
+        for k in range(size):
+            family = [s + (size,) for s in combinations(range(1, size), k)]
+            want = [brute_force_det(submatrix(g, i, j)) for i in family for j in family]
+            for threshold in (polyring.BLOCK_MIN_TERMS, 1):
+                monkeypatch.setattr(polyring, "BLOCK_MIN_TERMS", threshold)
+                assert bordered_minors(g, k) == want
+            monkeypatch.undo()
 
 
 def test_whole_plan_product_bound(monkeypatch):

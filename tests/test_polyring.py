@@ -685,3 +685,17 @@ def test_blocking_follows_the_product_size_bound():
     assert summed.terms == _flat_product_terms([(p, p, False), (p + V[11], p - 2, True)])
     assert type(p * q) is Polynomial and type(p * p) is polyring._Blocked  # 64 * 32 and 64 * 64
     assert (p * p).terms == _flat_product_terms([(p, p, False)])
+
+
+def test_sums_of_products_releases_each_q_after_its_last_product():
+    # in blocks, qs[j] is set to None after the last triple that reads it: p, which both sums
+    # read, survives the first, and the sums are those of the flat loop
+    p = reduce(lambda x, y: x + y, (V[i % 4] ** (i // 4 + 1) * V[4 + i % 8] for i in range(64)))
+    ps, qs = [p, p + V[11]], [p, p - 2]
+    got = sums_of_products(U12, ps, qs, [((0, 0, False), (1, 1, True)), ((1, 0, False),)])  # 65 * 65 >= 4 096
+    assert [type(x) for x in got] == [polyring._Blocked] * 2
+    assert [x.terms for x in got] == [
+        _flat_product_terms([(p, p, False), (p + V[11], p - 2, True)]),
+        _flat_product_terms([(p + V[11], p, False)]),
+    ]
+    assert qs == [None, None] and ps[0] is p
